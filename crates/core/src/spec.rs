@@ -193,6 +193,11 @@ impl Default for TimingSpec {
 }
 
 impl TimingSpec {
+    /// Most control cycles a horizon may span. Far beyond any experiment,
+    /// it turns an absurd horizon into an error instead of a run that
+    /// never ends.
+    pub const MAX_CYCLES: f64 = 1e6;
+
     /// Cap the horizon to at most `cycles` control cycles — the one
     /// idiom behind every "run a preset briefly" sweep, bench and gate
     /// (specs are data, so the cap is a field write). Never extends a
@@ -223,6 +228,16 @@ impl TimingSpec {
         }
         if !(self.horizon_secs.is_finite() && self.horizon_secs > 0.0) {
             return Err(SlaqError::spec("timing", "horizon must be positive"));
+        }
+        let cycles = self.horizon_secs / self.control_period_secs;
+        if cycles > Self::MAX_CYCLES {
+            return Err(SlaqError::spec(
+                "timing",
+                format!(
+                    "horizon spans {cycles:e} control cycles, more than {:e}",
+                    Self::MAX_CYCLES
+                ),
+            ));
         }
         for (name, v) in [
             ("start_overhead_secs", self.start_overhead_secs),
@@ -1856,6 +1871,25 @@ mod tests {
             to_secs: first.to_secs + 500.0,
         };
         s.validate().expect("back-to-back windows are not overlaps");
+    }
+
+    #[test]
+    fn validation_rejects_a_horizon_of_too_many_cycles() {
+        let mut s = ScenarioSpec::preset("paper-small").unwrap();
+        for horizon in [1e300, s.timing.control_period_secs * 2e6] {
+            s.timing.horizon_secs = horizon;
+            match s.validate() {
+                Err(SlaqError::Spec { section, detail }) => {
+                    assert_eq!(section, "timing");
+                    assert!(detail.contains("control cycles"), "{detail}");
+                }
+                other => panic!("horizon {horizon:e} accepted: {other:?}"),
+            }
+            // Materialization validates first, so the run never starts.
+            assert!(s.materialize().is_err());
+        }
+        s.timing.horizon_secs = s.timing.control_period_secs * TimingSpec::MAX_CYCLES;
+        s.validate().expect("exactly the cycle bound is allowed");
     }
 
     #[test]

@@ -44,22 +44,64 @@ pub struct JobStats {
 }
 
 /// Owns every job in the system, indexed densely by [`JobId`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Alongside the full history it keeps `live`, the ids of jobs not yet
+/// known to be completed, in id order. Per-event passes walk `live`
+/// instead of every job ever submitted. The index is pruned lazily by
+/// [`JobManager::advance_running`], and every walk still checks each
+/// job's state, so a job completed through [`JobManager::job_mut`] is
+/// skipped correctly until the next prune drops it.
+#[derive(Debug, Clone, Default)]
 pub struct JobManager {
     jobs: Vec<Job>,
+    live: Vec<JobId>,
+}
+
+// Serialized as the job history alone; the live index is derived.
+impl Serialize for JobManager {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Obj(vec![("jobs".to_string(), self.jobs.to_value())])
+    }
+}
+
+impl Deserialize for JobManager {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let jobs = Vec::<Job>::from_value(serde::obj_get(v, "jobs")?)?;
+        let live = jobs
+            .iter()
+            .filter(|j| j.is_active())
+            .map(|j| j.id)
+            .collect();
+        Ok(JobManager { jobs, live })
+    }
 }
 
 impl JobManager {
     /// An empty manager.
     pub fn new() -> Self {
-        JobManager { jobs: Vec::new() }
+        JobManager::default()
     }
 
     /// Submit a job; ids are assigned densely in submission order.
     pub fn submit(&mut self, spec: JobSpec, now: SimTime) -> Result<JobId> {
         let id = JobId::new(self.jobs.len() as u32);
         self.jobs.push(Job::new(id, spec, now)?);
+        self.live.push(id);
         Ok(id)
+    }
+
+    /// Jobs still needing CPU (pending, running or suspended), in id
+    /// order. Walks the live index, not the whole history.
+    pub fn active(&self) -> impl Iterator<Item = &Job> + '_ {
+        self.live
+            .iter()
+            .map(|id| &self.jobs[id.index()])
+            .filter(|j| j.is_active())
+    }
+
+    /// Currently running jobs, in id order.
+    pub fn running(&self) -> impl Iterator<Item = &Job> + '_ {
+        self.active().filter(|j| j.is_running())
     }
 
     /// All jobs ever submitted, by id.
@@ -92,29 +134,19 @@ impl JobManager {
     /// Ids of jobs still needing CPU (pending, running or suspended), in
     /// submission order.
     pub fn active_ids(&self) -> Vec<JobId> {
-        self.jobs
-            .iter()
-            .filter(|j| j.is_active())
-            .map(|j| j.id)
-            .collect()
+        self.active().map(|j| j.id).collect()
     }
 
     /// Ids of currently running jobs.
     pub fn running_ids(&self) -> Vec<JobId> {
-        self.jobs
-            .iter()
-            .filter(|j| j.is_running())
-            .map(|j| j.id)
-            .collect()
+        self.running().map(|j| j.id).collect()
     }
 
     /// Utility-curve snapshots for every active job at instant `now` —
     /// the entities the equalizer (and the cross-workload tradeoff in
     /// `slaq-core`) consumes.
     pub fn entities(&self, now: SimTime) -> Vec<(JobId, JobUtility)> {
-        self.jobs
-            .iter()
-            .filter(|j| j.is_active())
+        self.active()
             .map(|j| (j.id, JobUtility::of(j, now)))
             .collect()
     }
@@ -161,7 +193,8 @@ impl JobManager {
 
     /// Advance every running job by `dt`, with per-job allocations given
     /// by `alloc_of`. Returns `(id, completion_instant)` for jobs that
-    /// finished within the interval, in id order.
+    /// finished within the interval, in id order. Also prunes completed
+    /// jobs from the live index.
     pub fn advance_running(
         &mut self,
         now: SimTime,
@@ -169,13 +202,16 @@ impl JobManager {
         mut alloc_of: impl FnMut(JobId) -> CpuMhz,
     ) -> Vec<(JobId, SimTime)> {
         let mut done = Vec::new();
-        for job in &mut self.jobs {
+        let jobs = &mut self.jobs;
+        self.live.retain(|&id| {
+            let job = &mut jobs[id.index()];
             if job.is_running() {
-                if let Some(at) = job.advance(alloc_of(job.id), now, dt) {
-                    done.push((job.id, at));
+                if let Some(at) = job.advance(alloc_of(id), now, dt) {
+                    done.push((id, at));
                 }
             }
-        }
+            job.is_active()
+        });
         done
     }
 
@@ -409,6 +445,56 @@ mod tests {
         assert_eq!(s.goals_met, 1);
         assert!((s.mean_achieved_utility - 1.0).abs() < 1e-9);
         assert!((m.job(JobId::new(1)).unwrap().progress() - 0.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn live_index_skips_jobs_completed_outside_the_manager() {
+        let mut m = mgr_with(3);
+        for i in 0..3 {
+            m.job_mut(JobId::new(i))
+                .unwrap()
+                .start(NodeId::new(0), SimTime::ZERO)
+                .unwrap();
+        }
+        // Job 1 completes through `job_mut`, bypassing the index prune.
+        m.job_mut(JobId::new(1)).unwrap().advance(
+            CpuMhz::new(3000.0),
+            SimTime::ZERO,
+            SimDuration::from_secs(2000.0),
+        );
+        assert_eq!(m.running_ids(), vec![JobId::new(0), JobId::new(2)]);
+        assert_eq!(m.active_ids(), vec![JobId::new(0), JobId::new(2)]);
+        // The next advance neither re-advances it nor reports it done,
+        // and prunes it from the index.
+        let done = m.advance_running(SimTime::ZERO, SimDuration::from_secs(1000.0), |_| {
+            CpuMhz::new(3000.0)
+        });
+        assert_eq!(
+            done,
+            vec![
+                (JobId::new(0), SimTime::from_secs(1000.0)),
+                (JobId::new(2), SimTime::from_secs(1000.0)),
+            ]
+        );
+        assert!(m.active_ids().is_empty());
+        assert_eq!(m.live, Vec::<JobId>::new());
+        assert_eq!(m.stats().completed, 3);
+    }
+
+    #[test]
+    fn serde_round_trip_rebuilds_the_live_index() {
+        let mut m = mgr_with(3);
+        m.job_mut(JobId::new(0))
+            .unwrap()
+            .start(NodeId::new(0), SimTime::ZERO)
+            .unwrap();
+        m.advance_running(SimTime::ZERO, SimDuration::from_secs(1000.0), |_| {
+            CpuMhz::new(3000.0)
+        });
+        let back = JobManager::from_value(&m.to_value()).unwrap();
+        assert_eq!(back.jobs(), m.jobs());
+        assert_eq!(back.live, vec![JobId::new(1), JobId::new(2)]);
+        assert_eq!(back.active_ids(), m.active_ids());
     }
 
     #[test]

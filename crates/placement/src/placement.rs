@@ -4,7 +4,8 @@
 use crate::problem::{AppRequest, JobRequest, NodeCapacity};
 use serde::{Deserialize, Serialize};
 use slaq_types::{AppId, CpuMhz, JobId, MemMb, NodeId, SlaqError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
 
 /// A complete placement: transactional instances with per-node CPU slices
 /// and job assignments with allocations.
@@ -93,6 +94,15 @@ impl PlacementChange {
     }
 }
 
+/// Index `items` by `id`, keeping the first item for a repeated id.
+fn first_by_id<T, K: Eq + Hash>(items: &[T], id: impl Fn(&T) -> K) -> HashMap<K, &T> {
+    let mut map = HashMap::with_capacity(items.len());
+    for item in items {
+        map.entry(id(item)).or_insert(item);
+    }
+    map
+}
+
 impl Placement {
     /// Empty placement (cold cluster).
     pub fn empty() -> Self {
@@ -167,21 +177,25 @@ impl Placement {
         apps: &[AppRequest],
         jobs: &[JobRequest],
     ) -> Result<(), SlaqError> {
-        let node_of = |id: NodeId| -> Result<&NodeCapacity, SlaqError> {
-            nodes
-                .iter()
-                .find(|n| n.id == id)
-                .ok_or(SlaqError::UnknownNode(id))
+        // Id-indexed lookups, built once per call; the first entry wins
+        // for a duplicated id, as a linear `find` would pick it.
+        let node_ids: HashSet<NodeId> = nodes.iter().map(|n| n.id).collect();
+        let known_node = |id: NodeId| {
+            if node_ids.contains(&id) {
+                Ok(())
+            } else {
+                Err(SlaqError::UnknownNode(id))
+            }
         };
-        let app_req = |id: AppId| apps.iter().find(|a| a.id == id);
-        let job_req = |id: JobId| jobs.iter().find(|j| j.id == id);
+        let app_reqs = first_by_id(apps, |a| a.id);
+        let job_reqs = first_by_id(jobs, |j| j.id);
 
         // Per-node accumulation.
         let mut cpu_used: BTreeMap<NodeId, CpuMhz> = BTreeMap::new();
         let mut mem_used: BTreeMap<NodeId, MemMb> = BTreeMap::new();
 
         for (&app, slices) in &self.apps {
-            let req = app_req(app).ok_or(SlaqError::UnknownApp(app))?;
+            let req = app_reqs.get(&app).ok_or(SlaqError::UnknownApp(app))?;
             if slices.len() > req.max_instances as usize {
                 return Err(SlaqError::InvalidSpec(format!(
                     "{app} has {} instances, max {}",
@@ -190,7 +204,7 @@ impl Placement {
                 )));
             }
             for (&node, &cpu) in slices {
-                node_of(node)?;
+                known_node(node)?;
                 if cpu.as_f64() < -1e-9 {
                     return Err(SlaqError::InvalidSpec(format!(
                         "negative slice for {app} on {node}"
@@ -201,8 +215,8 @@ impl Placement {
             }
         }
         for (&job, &(node, cpu)) in &self.jobs {
-            let req = job_req(job).ok_or(SlaqError::UnknownJob(job))?;
-            node_of(node)?;
+            let req = job_reqs.get(&job).ok_or(SlaqError::UnknownJob(job))?;
+            known_node(node)?;
             if cpu.as_f64() < -1e-9 {
                 return Err(SlaqError::InvalidSpec(format!("negative alloc for {job}")));
             }
@@ -417,6 +431,51 @@ mod tests {
         assert!(matches!(
             p.validate(&nodes(1), &[], &[job_req(0, 1.0)]),
             Err(SlaqError::UnknownNode(_))
+        ));
+    }
+
+    #[test]
+    fn validate_lookups_keep_first_match_and_error_precedence() {
+        let n = nodes(2);
+        let apps = [app_req(0, 100.0)];
+        let jobs = [job_req(0, 100.0)];
+        // Unknown job, node and app, each alone.
+        let err = place(&[], &[(3, 0, 1.0)]).validate(&n, &apps, &jobs);
+        assert_eq!(err, Err(SlaqError::UnknownJob(JobId::new(3))));
+        let err = place(&[], &[(0, 7, 1.0)]).validate(&n, &apps, &jobs);
+        assert_eq!(err, Err(SlaqError::UnknownNode(NodeId::new(7))));
+        let err = place(&[(0, 7, 1.0)], &[]).validate(&n, &apps, &jobs);
+        assert_eq!(err, Err(SlaqError::UnknownNode(NodeId::new(7))));
+        let err = place(&[(2, 0, 1.0)], &[]).validate(&n, &apps, &jobs);
+        assert_eq!(err, Err(SlaqError::UnknownApp(AppId::new(2))));
+        // Precedence: apps before jobs, a job's id before its node.
+        let err = place(&[(2, 0, 1.0)], &[(3, 9, 1.0)]).validate(&n, &apps, &jobs);
+        assert_eq!(err, Err(SlaqError::UnknownApp(AppId::new(2))));
+        let err = place(&[], &[(3, 9, 1.0)]).validate(&n, &apps, &jobs);
+        assert_eq!(err, Err(SlaqError::UnknownJob(JobId::new(3))));
+        // Duplicate ids: the first request wins. A 1280 MB job fits a
+        // 4096 MB node; a 10 000 MB twin listed first does not.
+        let p = place(&[], &[(0, 0, 100.0)]);
+        let mut big = job_req(0, 100.0);
+        big.mem = MemMb::new(10_000);
+        assert_eq!(
+            p.validate(&n, &[], &[job_req(0, 100.0), big.clone()]),
+            Ok(())
+        );
+        assert!(matches!(
+            p.validate(&n, &[], &[big, job_req(0, 100.0)]),
+            Err(SlaqError::CapacityViolation { .. })
+        ));
+        let p = place(&[(0, 0, 50.0), (0, 1, 50.0)], &[]);
+        let mut single = app_req(0, 100.0);
+        single.max_instances = 1;
+        assert_eq!(
+            p.validate(&n, &[app_req(0, 100.0), single.clone()], &[]),
+            Ok(())
+        );
+        assert!(matches!(
+            p.validate(&n, &[single, app_req(0, 100.0)], &[]),
+            Err(SlaqError::InvalidSpec(_))
         ));
     }
 

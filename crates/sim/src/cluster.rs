@@ -15,7 +15,7 @@
 
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::Placement;
-use slaq_types::{AppId, CpuMhz, JobId};
+use slaq_types::{AppId, CpuMhz, JobId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Compute effective speeds for every running job and every application
@@ -38,29 +38,39 @@ pub fn effective_speeds(
     blocked: &BTreeSet<JobId>,
     cap_apps: bool,
 ) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>) {
-    let mut job_speed: BTreeMap<JobId, CpuMhz> = BTreeMap::new();
-    let mut app_speed: BTreeMap<AppId, CpuMhz> = BTreeMap::new();
+    // Bucket every placed entity by node: one pass each over jobs and
+    // slices, then a stable sort by node, so each node's jobs stay in id
+    // order and its slices in app order — exactly the order a per-node
+    // rescan of the placement visits them. Every per-node float sequence
+    // (and so every speed) is unchanged. Entities on a node absent from
+    // `nodes` are never visited and stay speed-less.
+    let mut jobs: Vec<(NodeId, JobId, CpuMhz)> = placement
+        .jobs
+        .iter()
+        .map(|(&j, &(n, g))| (n, j, g))
+        .collect();
+    jobs.sort_by_key(|&(n, ..)| n);
+    let mut apps: Vec<(NodeId, AppId, CpuMhz)> = placement
+        .apps
+        .iter()
+        .flat_map(|(&a, slices)| slices.iter().map(move |(&n, &g)| (n, a, g)))
+        .collect();
+    apps.sort_by_key(|&(n, ..)| n);
 
+    let mut job_speed: Vec<(JobId, CpuMhz)> = Vec::with_capacity(jobs.len());
+    let mut app_speed: BTreeMap<AppId, CpuMhz> = BTreeMap::new();
+    // (id, speed, cap) of the node's runnable jobs; reused across nodes.
+    let mut runnable: Vec<(JobId, CpuMhz, CpuMhz)> = Vec::new();
     for node in nodes {
-        // Gather entities on this node.
-        let jobs_here: Vec<(JobId, CpuMhz)> = placement
-            .jobs
-            .iter()
-            .filter(|&(_, &(n, _))| n == node.id)
-            .map(|(&j, &(_, g))| (j, g))
-            .collect();
-        let apps_here: Vec<(AppId, CpuMhz)> = placement
-            .apps
-            .iter()
-            .filter_map(|(&a, slices)| slices.get(&node.id).map(|&g| (a, g)))
-            .collect();
+        let jobs_here = on_node(&jobs, node.id);
+        let apps_here = on_node(&apps, node.id);
 
         let mut used = CpuMhz::ZERO;
         // Guarantees (blocked jobs run at zero; their share is spare).
-        let mut runnable: Vec<(JobId, CpuMhz, CpuMhz)> = Vec::new(); // (id, speed, cap)
-        for &(j, g) in &jobs_here {
+        runnable.clear();
+        for &(_, j, g) in jobs_here {
             if blocked.contains(&j) {
-                job_speed.insert(j, CpuMhz::ZERO);
+                job_speed.push((j, CpuMhz::ZERO));
                 continue;
             }
             let cap = job_caps.get(&j).copied().unwrap_or(g);
@@ -68,29 +78,26 @@ pub fn effective_speeds(
             used += g;
             runnable.push((j, g, cap));
         }
-        for &(_, g) in &apps_here {
+        for &(.., g) in apps_here {
             used += g;
         }
         let mut spare = node.cpu.saturating_sub(used);
 
-        // Water-fill spare across runnable jobs up to their caps.
+        // Water-fill spare across runnable jobs up to their caps. A grant
+        // only touches its own job, so testing headroom as each job is
+        // visited selects the same jobs as testing them all up front.
+        let open = |&(_, s, cap): &(JobId, CpuMhz, CpuMhz)| cap.as_f64() - s.as_f64() > 1e-9;
         loop {
-            let open: Vec<usize> = runnable
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, s, cap))| cap.as_f64() - s.as_f64() > 1e-9)
-                .map(|(i, _)| i)
-                .collect();
-            if open.is_empty() || spare.as_f64() <= 1e-9 {
+            let n_open = runnable.iter().filter(|r| open(r)).count();
+            if n_open == 0 || spare.as_f64() <= 1e-9 {
                 break;
             }
-            let share = spare / open.len() as f64;
+            let share = spare / n_open as f64;
             let mut granted_any = false;
-            for i in open {
-                let (_, s, cap) = runnable[i];
-                let grant = (cap - s).min(share).max_zero();
+            for r in runnable.iter_mut().filter(|r| open(r)) {
+                let grant = (r.2 - r.1).min(share).max_zero();
                 if grant.as_f64() > 0.0 {
-                    runnable[i].1 += grant;
+                    r.1 += grant;
                     spare -= grant;
                     granted_any = true;
                 }
@@ -99,15 +106,13 @@ pub fn effective_speeds(
                 break;
             }
         }
-        for (j, s, _) in &runnable {
-            job_speed.insert(*j, *s);
-        }
+        job_speed.extend(runnable.iter().map(|&(j, s, _)| (j, s)));
 
         // Remaining spare flows to transactional instances (unless the
         // controller's allocations are enforced as limits).
         if !cap_apps && !apps_here.is_empty() && spare.as_f64() > 1e-9 {
-            let g_total: f64 = apps_here.iter().map(|(_, g)| g.as_f64()).sum();
-            for &(a, g) in &apps_here {
+            let g_total: f64 = apps_here.iter().map(|(.., g)| g.as_f64()).sum();
+            for &(_, a, g) in apps_here {
                 let bonus = if g_total > 1e-9 {
                     spare * (g.as_f64() / g_total)
                 } else {
@@ -116,19 +121,28 @@ pub fn effective_speeds(
                 *app_speed.entry(a).or_insert(CpuMhz::ZERO) += g + bonus;
             }
         } else {
-            for &(a, g) in &apps_here {
+            for &(_, a, g) in apps_here {
                 *app_speed.entry(a).or_insert(CpuMhz::ZERO) += g;
             }
         }
     }
+    // Collecting sorts by id; a job visited twice (a node listed twice)
+    // keeps its last speed, as repeated inserts would.
+    (job_speed.into_iter().collect(), app_speed)
+}
 
-    (job_speed, app_speed)
+/// The run of `entries` (sorted by node) placed on `node`.
+fn on_node<T>(entries: &[(NodeId, T, CpuMhz)], node: NodeId) -> &[(NodeId, T, CpuMhz)] {
+    let lo = entries.partition_point(|e| e.0 < node);
+    let hi = lo + entries[lo..].partition_point(|e| e.0 == node);
+    &entries[lo..hi]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slaq_types::{MemMb, NodeId};
+    use proptest::prelude::*;
+    use slaq_types::MemMb;
 
     fn nodes(n: u32, cpu: f64) -> Vec<NodeCapacity> {
         (0..n)
@@ -325,5 +339,164 @@ mod tests {
             + asp.values().map(|c| c.as_f64()).sum::<f64>();
         assert!(total <= 6000.0 + 1e-6, "{total}");
         assert!(total >= 6000.0 - 1e-6, "work-conserving: {total}");
+    }
+
+    /// The per-node rescan `effective_speeds` replaced, verbatim: for
+    /// every node, scan the whole placement for the entities on it and
+    /// water-fill with a fresh open list per round. O(N·(J+A)), kept as
+    /// the differential oracle for the bucketed version.
+    fn rescan_speeds(
+        nodes: &[NodeCapacity],
+        placement: &Placement,
+        job_caps: &BTreeMap<JobId, CpuMhz>,
+        blocked: &BTreeSet<JobId>,
+        cap_apps: bool,
+    ) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>) {
+        let mut job_speed: BTreeMap<JobId, CpuMhz> = BTreeMap::new();
+        let mut app_speed: BTreeMap<AppId, CpuMhz> = BTreeMap::new();
+        for node in nodes {
+            let jobs_here: Vec<(JobId, CpuMhz)> = placement
+                .jobs
+                .iter()
+                .filter(|&(_, &(n, _))| n == node.id)
+                .map(|(&j, &(_, g))| (j, g))
+                .collect();
+            let apps_here: Vec<(AppId, CpuMhz)> = placement
+                .apps
+                .iter()
+                .filter_map(|(&a, slices)| slices.get(&node.id).map(|&g| (a, g)))
+                .collect();
+            let mut used = CpuMhz::ZERO;
+            let mut runnable: Vec<(JobId, CpuMhz, CpuMhz)> = Vec::new();
+            for &(j, g) in &jobs_here {
+                if blocked.contains(&j) {
+                    job_speed.insert(j, CpuMhz::ZERO);
+                    continue;
+                }
+                let cap = job_caps.get(&j).copied().unwrap_or(g);
+                let g = g.min(cap);
+                used += g;
+                runnable.push((j, g, cap));
+            }
+            for &(_, g) in &apps_here {
+                used += g;
+            }
+            let mut spare = node.cpu.saturating_sub(used);
+            loop {
+                let open: Vec<usize> = runnable
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, s, cap))| cap.as_f64() - s.as_f64() > 1e-9)
+                    .map(|(i, _)| i)
+                    .collect();
+                if open.is_empty() || spare.as_f64() <= 1e-9 {
+                    break;
+                }
+                let share = spare / open.len() as f64;
+                let mut granted_any = false;
+                for i in open {
+                    let (_, s, cap) = runnable[i];
+                    let grant = (cap - s).min(share).max_zero();
+                    if grant.as_f64() > 0.0 {
+                        runnable[i].1 += grant;
+                        spare -= grant;
+                        granted_any = true;
+                    }
+                }
+                if !granted_any {
+                    break;
+                }
+            }
+            for (j, s, _) in &runnable {
+                job_speed.insert(*j, *s);
+            }
+            if !cap_apps && !apps_here.is_empty() && spare.as_f64() > 1e-9 {
+                let g_total: f64 = apps_here.iter().map(|(_, g)| g.as_f64()).sum();
+                for &(a, g) in &apps_here {
+                    let bonus = if g_total > 1e-9 {
+                        spare * (g.as_f64() / g_total)
+                    } else {
+                        spare / apps_here.len() as f64
+                    };
+                    *app_speed.entry(a).or_insert(CpuMhz::ZERO) += g + bonus;
+                }
+            } else {
+                for &(a, g) in &apps_here {
+                    *app_speed.entry(a).or_insert(CpuMhz::ZERO) += g;
+                }
+            }
+        }
+        (job_speed, app_speed)
+    }
+
+    /// `(selector, value)` → a CPU amount that is exactly zero one time
+    /// in four, so zero guarantees, zero caps and idle nodes all occur.
+    fn mhz((sel, v): (u8, f64)) -> CpuMhz {
+        if sel == 0 {
+            CpuMhz::ZERO
+        } else {
+            CpuMhz::new(v)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One-pass bucketing is bit-identical to the per-node rescan:
+        /// random placements over up to 6 node ids (some absent from
+        /// `nodes`, so their entities stay speed-less), blocked jobs,
+        /// zero and cap-limited speeds, missing caps, idle nodes, both
+        /// node orders and both `cap_apps` settings.
+        #[test]
+        fn prop_bucketed_speeds_match_rescan(
+            node_cpu in proptest::collection::vec((0u8..4, 0.0..9000.0f64), 1..5),
+            jobs in proptest::collection::vec(
+                (0u32..6, (0u8..4, 0.0..4000.0f64), (0u8..4, 0.0..4000.0f64), 0u8..4),
+                0..12,
+            ),
+            apps in proptest::collection::vec(
+                proptest::collection::vec((0u32..6, (0u8..4, 0.0..6000.0f64)), 0..4),
+                0..4,
+            ),
+            flags in (0u8..2, 0u8..2),
+        ) {
+            let mut nodes: Vec<NodeCapacity> = node_cpu
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| NodeCapacity {
+                    id: NodeId::new(i as u32),
+                    cpu: mhz(c),
+                    mem: MemMb::new(4096),
+                })
+                .collect();
+            if flags.0 == 1 {
+                nodes.reverse();
+            }
+            let mut p = Placement::empty();
+            let mut job_caps = BTreeMap::new();
+            let mut blocked = BTreeSet::new();
+            for (i, &(n, g, (cap_sel, cap), blk)) in jobs.iter().enumerate() {
+                let id = JobId::new(i as u32);
+                p.jobs.insert(id, (NodeId::new(n), mhz(g)));
+                // Selector 1 leaves the cap out: the guarantee caps it.
+                if cap_sel != 1 {
+                    job_caps.insert(id, mhz((cap_sel, cap)));
+                }
+                if blk == 0 {
+                    blocked.insert(id);
+                }
+            }
+            for (a, slices) in apps.iter().enumerate() {
+                let entry = p.apps.entry(AppId::new(a as u32)).or_default();
+                for &(n, g) in slices {
+                    entry.insert(NodeId::new(n), mhz(g));
+                }
+            }
+            let cap_apps = flags.1 == 1;
+            prop_assert_eq!(
+                effective_speeds(&nodes, &p, &job_caps, &blocked, cap_apps),
+                rescan_speeds(&nodes, &p, &job_caps, &blocked, cap_apps)
+            );
+        }
     }
 }

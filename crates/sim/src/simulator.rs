@@ -3,9 +3,12 @@
 //! A fluid discrete-event design: between events every running job
 //! progresses at its effective speed and every application observes its
 //! effective allocation. Events are job arrivals, control cycles, job
-//! completions, overhead-unblock instants and the horizon. Effective
-//! speeds are recomputed at every event, so the freed capacity of a
-//! completed job is redistributed immediately.
+//! completions, overhead-unblock instants, outage and capacity-dip
+//! boundaries, elasticity resizes and the horizon. Effective speeds are
+//! recomputed after every event that can change them (a control cycle,
+//! a completion, an unblock instant, an outage or dip boundary), so the
+//! freed capacity of a completed job is redistributed immediately, and
+//! are reused across the events that cannot (arrivals and resizes).
 
 use crate::apps::{AppObservation, TransactionalRuntime};
 use crate::cluster::effective_speeds;
@@ -207,6 +210,24 @@ pub struct Simulator {
     total_changes: usize,
 }
 
+/// Effective speeds over one inter-event interval.
+#[derive(Debug, Default, PartialEq)]
+struct Speeds {
+    /// Advertised node capacities the speeds were shared out of.
+    nodes: Vec<NodeCapacity>,
+    /// Job speeds indexed by [`JobId::index`], up to the highest placed
+    /// id: the per-event passes look a speed up for every running job.
+    jobs: Vec<CpuMhz>,
+    apps: BTreeMap<slaq_types::AppId, CpuMhz>,
+}
+
+impl Speeds {
+    /// Speed of `job`; zero when it has none.
+    fn job(&self, job: JobId) -> CpuMhz {
+        self.jobs.get(job.index()).copied().unwrap_or(CpuMhz::ZERO)
+    }
+}
+
 /// Interned sink keys for the series the simulator records every
 /// cycle, so the per-cycle hot path never looks up a name.
 #[derive(Clone, Copy)]
@@ -264,6 +285,8 @@ struct ObsKeys {
     solve: slaq_obs::Key,
     actuate: slaq_obs::Key,
     event: slaq_obs::Key,
+    speeds: slaq_obs::Key,
+    advance: slaq_obs::Key,
     delta_dirty: slaq_obs::Key,
 }
 
@@ -276,6 +299,8 @@ impl ObsKeys {
             solve: rec.key("cycle.solve"),
             actuate: rec.key("cycle.actuate"),
             event: rec.key("sim.event"),
+            speeds: rec.key("sim.speeds"),
+            advance: rec.key("sim.advance"),
             delta_dirty: rec.key("delta.dirty"),
         }
     }
@@ -492,9 +517,8 @@ impl Simulator {
             self.resize_at += 1;
             let active: Vec<JobId> = self
                 .job_mgr
-                .jobs()
-                .iter()
-                .filter(|j| j.is_active() && j.remaining.as_f64() > 0.0)
+                .active()
+                .filter(|j| j.remaining.as_f64() > 0.0)
                 .map(|j| j.id)
                 .collect();
             if active.is_empty() {
@@ -515,18 +539,19 @@ impl Simulator {
         }
     }
 
-    /// Strip the placement of anything on nodes that are down at `now`:
-    /// running jobs are force-suspended (they lose their in-flight work's
-    /// node but keep their progress), instances vanish.
-    fn apply_outages(&mut self) -> Result<()> {
-        let down: Vec<slaq_types::NodeId> = self
-            .effective_nodes(self.now)
+    /// Strip the placement of anything on nodes that are down in
+    /// `live_nodes` (the capacities at `now`): running jobs are
+    /// force-suspended (they lose their in-flight work's node but keep
+    /// their progress), instances vanish. Returns whether anything was
+    /// stripped.
+    fn apply_outages(&mut self, live_nodes: &[NodeCapacity]) -> Result<bool> {
+        let down: Vec<slaq_types::NodeId> = live_nodes
             .iter()
             .filter(|n| n.cpu.is_zero())
             .map(|n| n.id)
             .collect();
         if down.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
         let victims: Vec<JobId> = self
             .placement
@@ -535,15 +560,18 @@ impl Simulator {
             .filter(|&(_, &(n, _))| down.contains(&n))
             .map(|(&j, _)| j)
             .collect();
+        let mut stripped = !victims.is_empty();
         for job in victims {
             self.job_mgr.job_mut(job)?.suspend()?;
             self.placement.jobs.remove(&job);
             self.blocked_until.remove(&job);
         }
         for slices in self.placement.apps.values_mut() {
+            let before = slices.len();
             slices.retain(|n, _| !down.contains(n));
+            stripped |= slices.len() != before;
         }
-        Ok(())
+        Ok(stripped)
     }
 
     /// Register a transactional application.
@@ -600,11 +628,35 @@ impl Simulator {
 
     fn job_caps(&self) -> BTreeMap<JobId, CpuMhz> {
         self.job_mgr
-            .jobs()
-            .iter()
-            .filter(|j| j.is_running())
+            .running()
             .map(|j| (j.id, j.spec.max_speed))
             .collect()
+    }
+
+    /// Effective job and app speeds for the interval starting at `now`:
+    /// work-conserving shares of the advertised capacities, clipped by
+    /// overbooking when it bites.
+    fn interval_speeds(&self) -> Speeds {
+        let nodes = self.effective_nodes(self.now);
+        let (mut jobs, mut apps) = effective_speeds(
+            &nodes,
+            &self.placement,
+            &self.job_caps(),
+            &self.blocked_set(),
+            self.config.cap_transactional,
+        );
+        if self.overcommit.is_some() {
+            self.apply_overcommit(&mut jobs, &mut apps);
+        }
+        let mut dense = vec![CpuMhz::ZERO; jobs.keys().next_back().map_or(0, |j| j.index() + 1)];
+        for (j, s) in jobs {
+            dense[j.index()] = s;
+        }
+        Speeds {
+            nodes,
+            jobs: dense,
+            apps,
+        }
     }
 
     /// Validation requests reflecting the *current* entity population.
@@ -621,10 +673,11 @@ impl Simulator {
                 affinity: Vec::new(),
             })
             .collect();
+        // Completed jobs need no request: `enact` rejects a placed
+        // completed job before validating.
         let jobs: Vec<JobRequest> = self
             .job_mgr
-            .jobs()
-            .iter()
+            .active()
             .map(|j| JobRequest {
                 id: j.id,
                 demand: placement.job_alloc(j.id),
@@ -766,13 +819,10 @@ impl Simulator {
     }
 
     /// Next completion instant under current speeds (`NEVER` if none).
-    fn next_completion(&self, speeds: &BTreeMap<JobId, CpuMhz>) -> SimTime {
+    fn next_completion(&self, speeds: &Speeds) -> SimTime {
         let mut earliest = SimTime::NEVER;
-        for j in self.job_mgr.jobs() {
-            if !j.is_running() {
-                continue;
-            }
-            let speed = speeds.get(&j.id).copied().unwrap_or(CpuMhz::ZERO);
+        for j in self.job_mgr.running() {
+            let speed = speeds.job(j.id);
             if speed.is_zero() {
                 continue;
             }
@@ -793,20 +843,27 @@ impl Simulator {
         if self.recorder.is_enabled() {
             controller.set_recorder(self.recorder.clone());
         }
+        // The interval's speeds, rebuilt only when `dirty`: after a
+        // control cycle (enactment, and the per-cycle overbooking bite),
+        // a completion, an unblock instant, an outage or dip boundary, or
+        // an outage stripping the placement. Arrivals and elasticity
+        // resizes change neither placement, caps, blocking nor capacity,
+        // so they reuse the cache. Completions are still found by a scan:
+        // finish instants cached across advances would drift from
+        // `now + remaining / speed` by ULPs and move event instants.
+        let mut speeds = Speeds::default();
+        let mut dirty = true;
         loop {
-            let blocked = self.blocked_set();
-            let caps = self.job_caps();
-            let live_nodes = self.effective_nodes(self.now);
-            let (mut job_speeds, mut app_speeds) = effective_speeds(
-                &live_nodes,
-                &self.placement,
-                &caps,
-                &blocked,
-                self.config.cap_transactional,
-            );
-            if self.overcommit.is_some() {
-                self.apply_overcommit(&mut job_speeds, &mut app_speeds);
+            if dirty {
+                let _span = self.recorder.span(self.obs.speeds);
+                speeds = self.interval_speeds();
+                dirty = false;
             }
+            debug_assert!(
+                speeds == self.interval_speeds(),
+                "speed cache is stale at {}",
+                self.now
+            );
 
             // Next event.
             let t_arrival = self
@@ -814,18 +871,19 @@ impl Simulator {
                 .last()
                 .map(|&(t, _)| t)
                 .unwrap_or(SimTime::NEVER);
-            let t_done = self.next_completion(&job_speeds);
+            let t_done = self.next_completion(&speeds);
             let t_unblock = self
                 .blocked_until
                 .values()
                 .filter(|&&t| t > self.now)
                 .fold(SimTime::NEVER, |acc, &t| acc.min(t));
+            let t_outage = self.next_outage_event(self.now);
             let t_next = self
                 .next_control
                 .min(t_arrival)
                 .min(t_done)
                 .min(t_unblock)
-                .min(self.next_outage_event(self.now))
+                .min(t_outage)
                 .min(self.next_resize_event())
                 .min(self.config.horizon);
             if self.recorder.is_enabled() {
@@ -847,22 +905,37 @@ impl Simulator {
             // the tolerance in `Job::advance` (otherwise the completion
             // event would re-fire at the same instant forever).
             let dt = t_next - self.now;
-            let done = self.job_mgr.advance_running(self.now, dt, |id| {
-                job_speeds.get(&id).copied().unwrap_or(CpuMhz::ZERO)
-            });
-            for (job, _) in done {
-                self.placement.jobs.remove(&job);
-                self.blocked_until.remove(&job);
-            }
-            if !dt.is_zero() {
-                for app in &mut self.apps {
-                    let alloc = app_speeds.get(&app.id).copied().unwrap_or(CpuMhz::ZERO);
-                    app.observe_interval(self.now, dt, alloc);
+            {
+                let _span = self.recorder.span(self.obs.advance);
+                let done = self
+                    .job_mgr
+                    .advance_running(self.now, dt, |id| speeds.job(id));
+                dirty |= !done.is_empty();
+                for (job, _) in done {
+                    self.placement.jobs.remove(&job);
+                    self.blocked_until.remove(&job);
+                }
+                if !dt.is_zero() {
+                    for app in &mut self.apps {
+                        let alloc = speeds.apps.get(&app.id).copied().unwrap_or(CpuMhz::ZERO);
+                        app.observe_interval(self.now, dt, alloc);
+                    }
                 }
             }
             let prev_now = self.now;
             self.now = t_next;
-            self.apply_outages()?;
+            let boundary = t_next >= t_outage;
+            dirty |= boundary || t_next >= t_unblock;
+            // Capacities only change at a boundary; between boundaries the
+            // cached ones are those at `now`.
+            let fresh;
+            let live_nodes = if boundary {
+                fresh = self.effective_nodes(self.now);
+                &fresh
+            } else {
+                &speeds.nodes
+            };
+            dirty |= self.apply_outages(live_nodes)?;
             self.apply_resizes();
 
             if self.now >= self.config.horizon && prev_now >= self.config.horizon {
@@ -879,6 +952,7 @@ impl Simulator {
             if self.now >= self.next_control {
                 self.run_control(controller)?;
                 self.next_control = self.now + self.config.control_period;
+                dirty = true;
             }
 
             // Drop stale unblock entries.
@@ -1198,10 +1272,7 @@ impl Simulator {
             let mut sum = 0.0;
             let mut min = f64::INFINITY;
             let mut n = 0usize;
-            for job in self.job_mgr.jobs() {
-                if !job.is_active() {
-                    continue;
-                }
+            for job in self.job_mgr.active() {
                 let speed = job_speeds.get(&job.id).copied().unwrap_or(CpuMhz::ZERO);
                 let u = slaq_jobs::JobUtility::of(job, t).projected_completion(speed);
                 let u = job.spec.goal.utility_at(u);
@@ -1431,6 +1502,42 @@ mod tests {
             done.state
         );
         assert_eq!(report.job_stats.disruptions, 1);
+    }
+
+    #[test]
+    fn placement_on_a_zero_cpu_node_is_stripped_at_the_next_event() {
+        // Node 0 dips to zero CPU (the direct API does not hold dips to
+        // the spec's (0, 1) range) but keeps its memory, so a zero-grant
+        // job fits there. The arrival at 100 s is not a capacity boundary,
+        // yet the strip suspends the job and must invalidate the cached
+        // speeds (the loop's debug assertion checks it).
+        let mut sim = Simulator::new(&cluster(), config(1200.0));
+        sim.add_capacity_dip(crate::chaos::CapacityDip {
+            node: NodeId::new(0),
+            from: SimTime::ZERO,
+            to: SimTime::from_secs(5000.0),
+            cpu_factor: 0.0,
+        });
+        sim.add_arrivals(vec![
+            (SimTime::ZERO, job_spec(1000.0, 0.0)),
+            (SimTime::from_secs(100.0), job_spec(1000.0, 100.0)),
+        ]);
+        let mut p0 = Placement::empty();
+        p0.jobs
+            .insert(JobId::new(0), (NodeId::new(0), CpuMhz::ZERO));
+        let mut ctrl = Scripted {
+            script: vec![p0],
+            at: 0,
+        };
+        let report = sim.run(&mut ctrl).unwrap();
+        let job = sim.jobs().job(JobId::new(0)).unwrap();
+        assert!(
+            matches!(job.state, JobState::Suspended { .. }),
+            "{:?}",
+            job.state
+        );
+        assert_eq!(report.job_stats.disruptions, 1);
+        assert!(sim.placement().jobs.is_empty());
     }
 
     #[test]

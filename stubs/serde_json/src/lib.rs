@@ -115,11 +115,17 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     Ok(out)
 }
 
+/// Deepest array/object nesting [`from_str`] accepts (upstream
+/// `serde_json`'s default recursion limit). Deeper input is an error,
+/// not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Deserialize from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -133,6 +139,8 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -174,52 +182,21 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    )));
                 }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(Error(format!("bad array at offset {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(pairs));
-                        }
-                        _ => return Err(Error(format!("bad object at offset {}", self.pos))),
-                    }
-                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
             }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error(format!(
@@ -227,6 +204,57 @@ impl Parser<'_> {
                 other.map(|b| b as char),
                 self.pos
             ))),
+        }
+    }
+
+    /// An array; `pos` is at its `[`.
+    fn parse_array(&mut self) -> Result<Value> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(Error(format!("bad array at offset {}", self.pos))),
+            }
+        }
+    }
+
+    /// An object; `pos` is at its `{`.
+    fn parse_object(&mut self) -> Result<Value> {
+        self.pos += 1;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            pairs.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(pairs));
+                }
+                _ => return Err(Error(format!("bad object at offset {}", self.pos))),
+            }
         }
     }
 
@@ -313,5 +341,34 @@ impl Parser<'_> {
                 .map(Value::Int)
                 .map_err(|e| Error(format!("bad number {text:?}: {e}")))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `depth` levels of nesting: `open` around an innermost `inner`.
+    fn nested(open: &str, inner: &str, close: &str, depth: usize) -> String {
+        open.repeat(depth - 1) + inner + &close.repeat(depth - 1)
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        assert!(from_str::<Value>(&nested("[", "[]", "]", MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested("{\"k\":", "{}", "}", MAX_DEPTH)).is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_naming_the_offset() {
+        // 100 000 unclosed `[` used to overflow the stack and abort.
+        let err = from_str::<Value>(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("nesting deeper than {MAX_DEPTH} at offset {MAX_DEPTH}")
+        );
+        let err = from_str::<Value>(&"{\"k\":".repeat(100_000)).unwrap_err();
+        assert!(err.to_string().starts_with("nesting deeper than"), "{err}");
+        assert!(from_str::<Value>(&nested("[", "[]", "]", MAX_DEPTH + 1)).is_err());
     }
 }
