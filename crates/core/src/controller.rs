@@ -7,7 +7,7 @@ use slaq_placement::{
     DeltaStats, Placement, PlacementOutcome, ShardPlan, ShardedSolver, SolveDelta, SolveMode,
     Solver,
 };
-use slaq_sim::{ControlInputs, Controller, MetricsSink};
+use slaq_sim::{AppObservation, ControlInputs, Controller, MetricsSink};
 use slaq_types::{AppId, CpuMhz, EntityId};
 use slaq_utility::{equalize_bisection, EqEntity, EqualizeOptions, UtilityOfCpu};
 
@@ -182,18 +182,21 @@ impl UtilityController {
         let span_eq = self.recorder.span(self.k_equalize);
 
         // ------------------------------------------------------------
-        // 1. Utility curves for every entity.
+        // 1. Utility curves for every entity. An app whose observation
+        // admits no model (λ NaN, negative or infinite) gets no curve and
+        // no CPU; it is dropped together with its observation, so every
+        // other app keeps its own curve.
         // ------------------------------------------------------------
-        let app_models: Vec<TransactionalModel> = inputs
+        let app_models: Vec<(&AppObservation, TransactionalModel)> = inputs
             .apps
             .iter()
-            .filter_map(|a| TransactionalModel::new(a.spec.clone(), a.lambda))
+            .filter_map(|a| TransactionalModel::new(a.spec.clone(), a.lambda).map(|m| (a, m)))
             .collect();
         let job_snapshots = inputs.jobs.entities(now);
 
         let mut entities: Vec<EqEntity<'_>> =
             Vec::with_capacity(app_models.len() + job_snapshots.len());
-        for (model, obs) in app_models.iter().zip(inputs.apps) {
+        for (obs, model) in &app_models {
             entities.push(EqEntity::new(obs.id, model as &dyn UtilityOfCpu));
         }
         for (id, ju) in &job_snapshots {
@@ -214,9 +217,17 @@ impl UtilityController {
             slaq_utility::equalize_weighted(&entities, &weights, total_cpu, &self.config.equalize)
         };
         drop(span_eq);
+        // The allocations come back in input order: apps first, then the
+        // jobs in `job_snapshots` order. Each job's target is therefore
+        // read by position, not by an O(entities) `cpu_of` search.
+        let job_targets = &eq.allocations[app_models.len()..];
+        debug_assert!(job_targets
+            .iter()
+            .zip(&job_snapshots)
+            .all(|(a, (id, _))| a.id == EntityId::Job(*id)));
 
         // Model-side series (Figures 1 & 2 inputs).
-        let trans_demand: CpuMhz = app_models.iter().map(|m| m.max_useful_cpu()).sum();
+        let trans_demand: CpuMhz = app_models.iter().map(|(_, m)| m.max_useful_cpu()).sum();
         let jobs_demand: CpuMhz = job_snapshots
             .iter()
             .map(|(_, ju)| ju.max_useful_cpu())
@@ -243,7 +254,7 @@ impl UtilityController {
         if jobs_n > 0 {
             metrics.record("jobs_hypo_utility", now, jobs_util_sum / jobs_n as f64);
         }
-        for (model, obs) in app_models.iter().zip(inputs.apps) {
+        for (obs, model) in &app_models {
             if let Some(cpu) = eq.cpu_of(obs.id) {
                 let key = self
                     .pred_utility_keys
@@ -259,18 +270,18 @@ impl UtilityController {
         // utility curves, zero equalized demand — so they still run to
         // completion instead of pending forever on an idle cluster.
         // ------------------------------------------------------------
+        // Grants are held densely, aligned with `job_snapshots`.
         let mut surplus = eq.surplus;
-        let mut backfill: std::collections::BTreeMap<slaq_types::JobId, CpuMhz> =
-            std::collections::BTreeMap::new();
+        let mut backfill = vec![CpuMhz::ZERO; job_snapshots.len()];
         if surplus.as_f64() > 1.0 {
-            for (id, ju) in &job_snapshots {
+            for (k, ((_, ju), target)) in job_snapshots.iter().zip(job_targets).enumerate() {
                 if surplus.as_f64() <= 1.0 {
                     break;
                 }
-                if eq.cpu_of(*id).is_none_or(|c| c.is_zero()) {
+                if target.cpu.is_zero() {
                     let grant = ju.max_speed.min(surplus);
                     if grant.as_f64() > 0.0 {
-                        backfill.insert(*id, grant);
+                        backfill[k] = grant;
                         surplus -= grant;
                     }
                 }
@@ -302,16 +313,14 @@ impl UtilityController {
                 },
             })
             .collect();
+        // `active()` yields the same jobs, in the same order, as the
+        // `entities(now)` snapshots the targets are aligned with.
         let jobs: Vec<JobRequest> = inputs
             .jobs
-            .jobs()
-            .iter()
-            .filter(|j| j.is_active())
-            .map(|j| {
-                let target = eq
-                    .cpu_of(j.id)
-                    .unwrap_or(CpuMhz::ZERO)
-                    .max(backfill.get(&j.id).copied().unwrap_or(CpuMhz::ZERO));
+            .active()
+            .zip(job_targets.iter().zip(&backfill))
+            .map(|(j, (eq_target, &grant))| {
+                let target = eq_target.cpu.max(grant);
                 let weight = self
                     .config
                     .importance
@@ -575,6 +584,67 @@ mod tests {
         assert!(
             after_first <= 2.0,
             "steady-state churn detected: {changes:?}"
+        );
+    }
+
+    #[test]
+    fn an_app_without_a_model_gets_no_cpu_and_shifts_no_curve() {
+        // Three apps with different curves; the middle one's λ is NaN, so
+        // it has no model. Every other app must keep its own curve: the
+        // run must match one where the NaN app is simply absent.
+        let nodes = slaq_placement::problem::NodeCapacity::from_cluster(&cluster(3));
+        let mut jobs = slaq_jobs::JobManager::new();
+        for _ in 0..4 {
+            jobs.submit(job_spec(2000.0, 0.0), SimTime::ZERO).unwrap();
+        }
+        let obs = |id: u32, lambda: f64, tau: f64| AppObservation {
+            id: AppId::new(id),
+            spec: TransactionalSpec {
+                rt_goal: ResponseTimeGoal::new(SimDuration::from_secs(tau)).unwrap(),
+                ..app_spec(1.0)
+            },
+            lambda,
+            affinity: vec![],
+        };
+        let all = vec![obs(0, 4.0, 0.5), obs(1, f64::NAN, 0.4), obs(2, 6.0, 0.3)];
+        let kept = vec![all[0].clone(), all[2].clone()];
+        let run = |apps: &[AppObservation]| {
+            let mut metrics = MetricsSink::new();
+            let placement = UtilityController::default().control(
+                &ControlInputs {
+                    now: SimTime::ZERO,
+                    nodes: &nodes,
+                    current: &Placement::empty(),
+                    jobs: &jobs,
+                    apps,
+                },
+                &mut metrics,
+            );
+            (placement, metrics)
+        };
+        let (p_all, m_all) = run(&all);
+        let (p_kept, m_kept) = run(&kept);
+
+        assert_eq!(p_all.app_alloc(AppId::new(1)), CpuMhz::ZERO);
+        assert!(m_all.series("trans_pred_utility_app1").is_empty());
+        for app in [0, 2] {
+            let id = AppId::new(app);
+            assert_eq!(p_all.app_alloc(id), p_kept.app_alloc(id), "{id}");
+            assert!(p_all.app_alloc(id).as_f64() > 0.0, "{id}");
+        }
+        for name in [
+            "trans_pred_utility_app0",
+            "trans_pred_utility_app2",
+            "trans_demand",
+            "trans_target",
+            "jobs_target",
+        ] {
+            assert!(!m_all.series(name).is_empty(), "{name}");
+            assert_eq!(m_all.series(name), m_kept.series(name), "{name}");
+        }
+        assert_ne!(
+            m_all.series("trans_pred_utility_app0"),
+            m_all.series("trans_pred_utility_app2")
         );
     }
 }

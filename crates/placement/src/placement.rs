@@ -4,8 +4,7 @@
 use crate::problem::{AppRequest, JobRequest, NodeCapacity};
 use serde::{Deserialize, Serialize};
 use slaq_types::{AppId, CpuMhz, JobId, MemMb, NodeId, SlaqError};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
 /// A complete placement: transactional instances with per-node CPU slices
 /// and job assignments with allocations.
@@ -94,13 +93,36 @@ impl PlacementChange {
     }
 }
 
-/// Index `items` by `id`, keeping the first item for a repeated id.
-fn first_by_id<T, K: Eq + Hash>(items: &[T], id: impl Fn(&T) -> K) -> HashMap<K, &T> {
-    let mut map = HashMap::with_capacity(items.len());
-    for item in items {
-        map.entry(id(item)).or_insert(item);
+/// `items` indexed densely by id over the span of ids present, so a
+/// lookup is one bounds check; the first item wins for a repeated id, as
+/// a linear `find` would pick it. Ids are dense in practice (nodes by
+/// cluster position, jobs by submission, apps by registration), so the
+/// span stays close to the item count.
+struct ById<'a, T> {
+    lo: usize,
+    slots: Vec<Option<&'a T>>,
+}
+
+impl<'a, T> ById<'a, T> {
+    fn new(items: &'a [T], index: impl Fn(&T) -> usize) -> Self {
+        let lo = items.iter().map(&index).min().unwrap_or(0);
+        let hi = items.iter().map(&index).max().map_or(0, |i| i + 1);
+        let mut slots = vec![None; hi - lo];
+        for item in items {
+            slots[index(item) - lo].get_or_insert(item);
+        }
+        ById { lo, slots }
     }
-    map
+
+    /// Slot of `index`, if an item has that id.
+    fn slot(&self, index: usize) -> Option<usize> {
+        let i = index.checked_sub(self.lo)?;
+        self.slots.get(i)?.is_some().then_some(i)
+    }
+
+    fn get(&self, index: usize) -> Option<&'a T> {
+        *self.slots.get(index.checked_sub(self.lo)?)?
+    }
 }
 
 impl Placement {
@@ -177,25 +199,29 @@ impl Placement {
         apps: &[AppRequest],
         jobs: &[JobRequest],
     ) -> Result<(), SlaqError> {
-        // Id-indexed lookups, built once per call; the first entry wins
-        // for a duplicated id, as a linear `find` would pick it.
-        let node_ids: HashSet<NodeId> = nodes.iter().map(|n| n.id).collect();
-        let known_node = |id: NodeId| {
-            if node_ids.contains(&id) {
-                Ok(())
-            } else {
-                Err(SlaqError::UnknownNode(id))
-            }
-        };
-        let app_reqs = first_by_id(apps, |a| a.id);
-        let job_reqs = first_by_id(jobs, |j| j.id);
+        // Dense id-indexed lookups, built once per call.
+        let node_ix = ById::new(nodes, |n| n.id.index());
+        let app_reqs = ById::new(apps, |a| a.id.index());
+        let job_reqs = ById::new(jobs, |j| j.id.index());
 
-        // Per-node accumulation.
-        let mut cpu_used: BTreeMap<NodeId, CpuMhz> = BTreeMap::new();
-        let mut mem_used: BTreeMap<NodeId, MemMb> = BTreeMap::new();
+        // Per-node (cpu, mem) totals by node slot, summed in the order
+        // visited: app slices by app id, then jobs by id.
+        let node_slot = |node: NodeId| {
+            node_ix
+                .slot(node.index())
+                .ok_or(SlaqError::UnknownNode(node))
+        };
+        let mut used: Vec<Option<(CpuMhz, MemMb)>> = vec![None; node_ix.slots.len()];
+        let mut charge = |slot: usize, cpu: CpuMhz, mem: MemMb| {
+            let (c, m) = used[slot].get_or_insert((CpuMhz::ZERO, MemMb::ZERO));
+            *c += cpu;
+            *m += mem;
+        };
 
         for (&app, slices) in &self.apps {
-            let req = app_reqs.get(&app).ok_or(SlaqError::UnknownApp(app))?;
+            let req = app_reqs
+                .get(app.index())
+                .ok_or(SlaqError::UnknownApp(app))?;
             if slices.len() > req.max_instances as usize {
                 return Err(SlaqError::InvalidSpec(format!(
                     "{app} has {} instances, max {}",
@@ -204,36 +230,34 @@ impl Placement {
                 )));
             }
             for (&node, &cpu) in slices {
-                known_node(node)?;
+                let slot = node_slot(node)?;
                 if cpu.as_f64() < -1e-9 {
                     return Err(SlaqError::InvalidSpec(format!(
                         "negative slice for {app} on {node}"
                     )));
                 }
-                *cpu_used.entry(node).or_insert(CpuMhz::ZERO) += cpu;
-                *mem_used.entry(node).or_insert(MemMb::ZERO) += req.mem_per_instance;
+                charge(slot, cpu, req.mem_per_instance);
             }
         }
         for (&job, &(node, cpu)) in &self.jobs {
-            let req = job_reqs.get(&job).ok_or(SlaqError::UnknownJob(job))?;
-            known_node(node)?;
+            let req = job_reqs
+                .get(job.index())
+                .ok_or(SlaqError::UnknownJob(job))?;
+            let slot = node_slot(node)?;
             if cpu.as_f64() < -1e-9 {
                 return Err(SlaqError::InvalidSpec(format!("negative alloc for {job}")));
             }
-            *cpu_used.entry(node).or_insert(CpuMhz::ZERO) += cpu;
-            *mem_used.entry(node).or_insert(MemMb::ZERO) += req.mem;
+            charge(slot, cpu, req.mem);
         }
 
         for node in nodes {
-            if let Some(&cpu) = cpu_used.get(&node.id) {
+            if let Some((cpu, mem)) = node_ix.slot(node.id.index()).and_then(|i| used[i]) {
                 if cpu.as_f64() > node.cpu.as_f64() + 1e-6 {
                     return Err(SlaqError::CapacityViolation {
                         node: node.id,
                         detail: format!("cpu {cpu} > {}", node.cpu),
                     });
                 }
-            }
-            if let Some(&mem) = mem_used.get(&node.id) {
                 if !node.mem.fits(mem) {
                     return Err(SlaqError::CapacityViolation {
                         node: node.id,
@@ -325,6 +349,8 @@ impl Placement {
 mod tests {
     use super::*;
     use crate::problem::PlacementConfig;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
 
     fn nodes(n: u32) -> Vec<NodeCapacity> {
         (0..n)
@@ -531,5 +557,146 @@ mod tests {
         let p = place(&[(0, 0, 1000.0)], &[(0, 1, 500.0)]);
         assert!(p.diff(&p.clone()).is_empty());
         let _ = PlacementConfig::default(); // silence unused-import lint path
+    }
+
+    /// The hash-map `validate` the dense one replaced, verbatim: SipHash
+    /// lookups keeping the first request of a repeated id, per-node
+    /// `BTreeMap` totals. Kept only as the differential oracle below.
+    fn validate_hashed(
+        p: &Placement,
+        nodes: &[NodeCapacity],
+        apps: &[AppRequest],
+        jobs: &[JobRequest],
+    ) -> Result<(), SlaqError> {
+        fn first_by_id<T, K: Eq + std::hash::Hash>(
+            items: &[T],
+            id: impl Fn(&T) -> K,
+        ) -> HashMap<K, &T> {
+            let mut map = HashMap::with_capacity(items.len());
+            for item in items {
+                map.entry(id(item)).or_insert(item);
+            }
+            map
+        }
+        let node_ids: HashSet<NodeId> = nodes.iter().map(|n| n.id).collect();
+        let known_node = |id: NodeId| {
+            if node_ids.contains(&id) {
+                Ok(())
+            } else {
+                Err(SlaqError::UnknownNode(id))
+            }
+        };
+        let app_reqs = first_by_id(apps, |a| a.id);
+        let job_reqs = first_by_id(jobs, |j| j.id);
+        let mut cpu_used: BTreeMap<NodeId, CpuMhz> = BTreeMap::new();
+        let mut mem_used: BTreeMap<NodeId, MemMb> = BTreeMap::new();
+        for (&app, slices) in &p.apps {
+            let req = app_reqs.get(&app).ok_or(SlaqError::UnknownApp(app))?;
+            if slices.len() > req.max_instances as usize {
+                return Err(SlaqError::InvalidSpec(format!(
+                    "{app} has {} instances, max {}",
+                    slices.len(),
+                    req.max_instances
+                )));
+            }
+            for (&node, &cpu) in slices {
+                known_node(node)?;
+                if cpu.as_f64() < -1e-9 {
+                    return Err(SlaqError::InvalidSpec(format!(
+                        "negative slice for {app} on {node}"
+                    )));
+                }
+                *cpu_used.entry(node).or_insert(CpuMhz::ZERO) += cpu;
+                *mem_used.entry(node).or_insert(MemMb::ZERO) += req.mem_per_instance;
+            }
+        }
+        for (&job, &(node, cpu)) in &p.jobs {
+            let req = job_reqs.get(&job).ok_or(SlaqError::UnknownJob(job))?;
+            known_node(node)?;
+            if cpu.as_f64() < -1e-9 {
+                return Err(SlaqError::InvalidSpec(format!("negative alloc for {job}")));
+            }
+            *cpu_used.entry(node).or_insert(CpuMhz::ZERO) += cpu;
+            *mem_used.entry(node).or_insert(MemMb::ZERO) += req.mem;
+        }
+        for node in nodes {
+            if let Some(&cpu) = cpu_used.get(&node.id) {
+                if cpu.as_f64() > node.cpu.as_f64() + 1e-6 {
+                    return Err(SlaqError::CapacityViolation {
+                        node: node.id,
+                        detail: format!("cpu {cpu} > {}", node.cpu),
+                    });
+                }
+            }
+            if let Some(&mem) = mem_used.get(&node.id) {
+                if !node.mem.fits(mem) {
+                    return Err(SlaqError::CapacityViolation {
+                        node: node.id,
+                        detail: format!("memory {mem} > {}", node.mem),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `(selector, value)` → a CPU amount: slightly negative one time in
+    /// eight, so both negative-allocation errors occur.
+    fn cpu((sel, v): (u8, f64)) -> CpuMhz {
+        CpuMhz::new(if sel == 0 { -1.0 } else { v })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The dense `validate` returns exactly the old hash-map one's
+        /// `Result`, error variant and message included: random node
+        /// lists with gaps and repeated ids, requests with repeated ids
+        /// (the first wins), placements naming unknown apps, jobs and
+        /// nodes, negative allocations, and CPU, memory and instance-count
+        /// overruns.
+        #[test]
+        fn prop_dense_validate_matches_hashed(
+            node_specs in proptest::collection::vec((0u32..8, 0.0..9000.0f64, 0u64..6000), 0..6),
+            app_specs in proptest::collection::vec((0u32..5, 0u64..3000, 0u32..4), 0..5),
+            job_specs in proptest::collection::vec((0u32..12, 0u64..3000), 0..10),
+            slices in proptest::collection::vec((0u32..6, 0u32..10, (0u8..8, 0.0..6000.0f64)), 0..8),
+            slots in proptest::collection::vec((0u32..14, 0u32..10, (0u8..8, 0.0..5000.0f64)), 0..10),
+        ) {
+            let nodes: Vec<NodeCapacity> = node_specs
+                .iter()
+                .map(|&(id, c, m)| NodeCapacity {
+                    id: NodeId::new(id),
+                    cpu: CpuMhz::new(c),
+                    mem: MemMb::new(m),
+                })
+                .collect();
+            let apps: Vec<AppRequest> = app_specs
+                .iter()
+                .map(|&(id, m, max)| AppRequest {
+                    mem_per_instance: MemMb::new(m),
+                    max_instances: max,
+                    ..app_req(id, 100.0)
+                })
+                .collect();
+            let jobs: Vec<JobRequest> = job_specs
+                .iter()
+                .map(|&(id, m)| JobRequest {
+                    mem: MemMb::new(m),
+                    ..job_req(id, 100.0)
+                })
+                .collect();
+            let mut p = Placement::empty();
+            for &(a, n, c) in &slices {
+                p.apps.entry(AppId::new(a)).or_default().insert(NodeId::new(n), cpu(c));
+            }
+            for &(j, n, c) in &slots {
+                p.jobs.insert(JobId::new(j), (NodeId::new(n), cpu(c)));
+            }
+            prop_assert_eq!(
+                p.validate(&nodes, &apps, &jobs),
+                validate_hashed(&p, &nodes, &apps, &jobs)
+            );
+        }
     }
 }

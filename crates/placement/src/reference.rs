@@ -14,7 +14,7 @@ use crate::allocation::allocate;
 use crate::placement::Placement;
 use crate::problem::{AppRequest, JobRequest, PlacementProblem};
 use crate::solver::PlacementOutcome;
-use slaq_types::{fcmp, AppId, CpuMhz, JobId, MemMb, NodeId};
+use slaq_types::{fcmp, AppId, JobId, MemMb, NodeId};
 use std::collections::BTreeMap;
 
 /// Mutable per-node trackers used while making discrete decisions.
@@ -361,13 +361,6 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
     );
     let changes = placement.diff(prev);
 
-    let satisfied_apps: BTreeMap<AppId, CpuMhz> = problem
-        .apps
-        .iter()
-        .map(|a| (a.id, placement.app_alloc(a.id)))
-        .collect();
-    let satisfied_jobs: BTreeMap<JobId, CpuMhz> =
-        placement.jobs.iter().map(|(&j, &(_, c))| (j, c)).collect();
     let unplaced_jobs: Vec<JobId> = problem
         .jobs
         .iter()
@@ -378,8 +371,6 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
     PlacementOutcome {
         placement,
         changes,
-        satisfied_apps,
-        satisfied_jobs,
         unplaced_jobs,
     }
 }

@@ -62,9 +62,8 @@ use crate::placement::{Placement, PlacementChange};
 use crate::problem::{JobRequest, NodeCapacity, PlacementConfig, PlacementProblem};
 use serde::{Deserialize, Serialize};
 use slaq_obs::Recorder;
-use slaq_types::{fcmp, AppId, CpuMhz, Interner, JobId, MemMb, NodeId};
+use slaq_types::{fcmp, CpuMhz, Interner, JobId, MemMb, NodeId};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// How the solver answers its candidate-node queries (the per-entity
 /// "which node offers the most residual CPU?" question of steps 2–4).
@@ -115,24 +114,27 @@ pub struct PlacementOutcome {
     pub placement: Placement,
     /// Disruptive actions relative to the previous placement.
     pub changes: Vec<PlacementChange>,
-    /// Per-application satisfied CPU.
-    pub satisfied_apps: BTreeMap<AppId, CpuMhz>,
-    /// Per-job satisfied CPU (running jobs only).
-    pub satisfied_jobs: BTreeMap<JobId, CpuMhz>,
     /// Jobs with positive targets that could not be placed this cycle
     /// (they stay pending/suspended).
     pub unplaced_jobs: Vec<JobId>,
 }
 
+/// Satisfied-CPU totals, computed from the placement on demand: the
+/// control loop never reads them, so no solve pays for them. Per-entity
+/// figures are `placement.app_alloc(id)` and `placement.jobs`.
 impl PlacementOutcome {
-    /// Σ satisfied transactional CPU.
+    /// Σ satisfied transactional CPU, summed per application in id order.
     pub fn total_app_satisfied(&self) -> CpuMhz {
-        self.satisfied_apps.values().copied().sum()
+        self.placement
+            .apps
+            .keys()
+            .map(|&a| self.placement.app_alloc(a))
+            .sum()
     }
 
-    /// Σ satisfied job CPU.
+    /// Σ satisfied job CPU, in id order.
     pub fn total_job_satisfied(&self) -> CpuMhz {
-        self.satisfied_jobs.values().copied().sum()
+        self.placement.total_job_alloc()
     }
 }
 
@@ -1325,8 +1327,7 @@ impl Solver {
 }
 
 /// Final outcome assembly shared by the full path and the discrete
-/// skip: the change list against `prev` plus id-keyed views over the
-/// exact placement.
+/// skip: the change list against `prev` and the unplaced jobs.
 fn assemble_outcome(
     problem: &PlacementProblem,
     prev: &Placement,
@@ -1334,13 +1335,6 @@ fn assemble_outcome(
     job_node: &[Option<usize>],
 ) -> PlacementOutcome {
     let changes = placement.diff(prev);
-    let satisfied_apps: BTreeMap<AppId, CpuMhz> = problem
-        .apps
-        .iter()
-        .map(|a| (a.id, placement.app_alloc(a.id)))
-        .collect();
-    let satisfied_jobs: BTreeMap<JobId, CpuMhz> =
-        placement.jobs.iter().map(|(&j, &(_, c))| (j, c)).collect();
     let unplaced_jobs: Vec<JobId> = problem
         .jobs
         .iter()
@@ -1352,8 +1346,6 @@ fn assemble_outcome(
     PlacementOutcome {
         placement,
         changes,
-        satisfied_apps,
-        satisfied_jobs,
         unplaced_jobs,
     }
 }
@@ -1428,6 +1420,7 @@ mod tests {
     use crate::problem::{AppRequest, NodeCapacity, PlacementConfig};
     use crate::reference::solve_reference;
     use proptest::prelude::*;
+    use slaq_types::AppId;
 
     fn nodes(n: u32, cpu: f64, mem: u64) -> Vec<NodeCapacity> {
         (0..n)
@@ -1954,11 +1947,11 @@ mod tests {
             // 3. Nobody exceeds their demand.
             for a in &p.apps {
                 prop_assert!(
-                    out.satisfied_apps[&a.id].as_f64() <= a.demand.as_f64() + 1.0
+                    out.placement.app_alloc(a.id).as_f64() <= a.demand.as_f64() + 1.0
                 );
             }
             for j in &p.jobs {
-                if let Some(&got) = out.satisfied_jobs.get(&j.id) {
+                if let Some(&(_, got)) = out.placement.jobs.get(&j.id) {
                     prop_assert!(got.as_f64() <= j.demand.as_f64() + 1.0);
                 }
             }

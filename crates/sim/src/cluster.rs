@@ -16,28 +16,37 @@
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::Placement;
 use slaq_types::{AppId, CpuMhz, JobId, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Compute effective speeds for every running job and every application
 /// (cluster-wide aggregate over its instances).
 ///
-/// * `job_caps` — per-job maximum speed;
-/// * `blocked` — jobs currently paying a start/resume/migration latency:
-///   they run at zero speed and their guarantee joins the spare pool;
+/// Job-side inputs and outputs are dense, indexed by [`JobId::index`]:
+///
+/// * `job_caps` — per-job maximum speed; a job without one (`None`, or
+///   an id past the end) is capped at its guarantee;
+/// * `blocked` — jobs currently paying a start/resume/migration latency
+///   (an id past the end is not blocked): they run at zero speed and
+///   their guarantee joins the spare pool;
 /// * `cap_apps` — when `true`, transactional instances are *limited* to
 ///   their guarantees (the paper's middleware enforces the computed
 ///   fine-grained allocations as hypervisor limits, so the transactional
 ///   tier's delivered power equals the controller's decision exactly);
 ///   when `false` leftover spare flows to the instances (fully
 ///   work-conserving hypervisor). Jobs are always work-conserving up to
-///   their speed caps — that is what drains SLA-hopeless jobs.
+///   their speed caps — that is what drains SLA-hopeless jobs;
+/// * `job_speed` — overwritten with every job's speed, sized to the
+///   highest placed id; jobs not placed on a node of `nodes` read zero.
+///
+/// Returns the per-application speeds.
 pub fn effective_speeds(
     nodes: &[NodeCapacity],
     placement: &Placement,
-    job_caps: &BTreeMap<JobId, CpuMhz>,
-    blocked: &BTreeSet<JobId>,
+    job_caps: &[Option<CpuMhz>],
+    blocked: &[bool],
     cap_apps: bool,
-) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>) {
+    job_speed: &mut Vec<CpuMhz>,
+) -> BTreeMap<AppId, CpuMhz> {
     // Bucket every placed entity by node: one pass each over jobs and
     // slices, then a stable sort by node, so each node's jobs stay in id
     // order and its slices in app order — exactly the order a per-node
@@ -57,7 +66,14 @@ pub fn effective_speeds(
         .collect();
     apps.sort_by_key(|&(n, ..)| n);
 
-    let mut job_speed: Vec<(JobId, CpuMhz)> = Vec::with_capacity(jobs.len());
+    job_speed.clear();
+    job_speed.resize(
+        placement
+            .jobs
+            .last_key_value()
+            .map_or(0, |(j, _)| j.index() + 1),
+        CpuMhz::ZERO,
+    );
     let mut app_speed: BTreeMap<AppId, CpuMhz> = BTreeMap::new();
     // (id, speed, cap) of the node's runnable jobs; reused across nodes.
     let mut runnable: Vec<(JobId, CpuMhz, CpuMhz)> = Vec::new();
@@ -69,11 +85,11 @@ pub fn effective_speeds(
         // Guarantees (blocked jobs run at zero; their share is spare).
         runnable.clear();
         for &(_, j, g) in jobs_here {
-            if blocked.contains(&j) {
-                job_speed.push((j, CpuMhz::ZERO));
+            if blocked.get(j.index()).copied().unwrap_or(false) {
+                job_speed[j.index()] = CpuMhz::ZERO;
                 continue;
             }
-            let cap = job_caps.get(&j).copied().unwrap_or(g);
+            let cap = job_caps.get(j.index()).copied().flatten().unwrap_or(g);
             let g = g.min(cap);
             used += g;
             runnable.push((j, g, cap));
@@ -106,7 +122,9 @@ pub fn effective_speeds(
                 break;
             }
         }
-        job_speed.extend(runnable.iter().map(|&(j, s, _)| (j, s)));
+        for &(j, s, _) in &runnable {
+            job_speed[j.index()] = s;
+        }
 
         // Remaining spare flows to transactional instances (unless the
         // controller's allocations are enforced as limits).
@@ -126,9 +144,8 @@ pub fn effective_speeds(
             }
         }
     }
-    // Collecting sorts by id; a job visited twice (a node listed twice)
-    // keeps its last speed, as repeated inserts would.
-    (job_speed.into_iter().collect(), app_speed)
+    // A job visited twice (a node listed twice) keeps its last speed.
+    app_speed
 }
 
 /// The run of `entries` (sorted by node) placed on `node`.
@@ -142,7 +159,8 @@ fn on_node<T>(entries: &[(NodeId, T, CpuMhz)], node: NodeId) -> &[(NodeId, T, Cp
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use slaq_types::MemMb;
+    use slaq_types::{JobId, MemMb};
+    use std::collections::BTreeSet;
 
     fn nodes(n: u32, cpu: f64) -> Vec<NodeCapacity> {
         (0..n)
@@ -154,10 +172,26 @@ mod tests {
             .collect()
     }
 
-    fn caps(ids: &[u32], cap: f64) -> BTreeMap<JobId, CpuMhz> {
-        ids.iter()
-            .map(|&i| (JobId::new(i), CpuMhz::new(cap)))
-            .collect()
+    /// Dense caps: `cap` for each of `ids`, none for the rest.
+    fn caps(ids: &[u32], cap: f64) -> Vec<Option<CpuMhz>> {
+        let mut caps = vec![None; ids.iter().max().map_or(0, |&i| i as usize + 1)];
+        for &i in ids {
+            caps[i as usize] = Some(CpuMhz::new(cap));
+        }
+        caps
+    }
+
+    /// `effective_speeds` with a fresh output vector.
+    fn speeds(
+        nodes: &[NodeCapacity],
+        placement: &Placement,
+        job_caps: &[Option<CpuMhz>],
+        blocked: &[bool],
+        cap_apps: bool,
+    ) -> (Vec<CpuMhz>, BTreeMap<AppId, CpuMhz>) {
+        let mut js = Vec::new();
+        let asp = effective_speeds(nodes, placement, job_caps, blocked, cap_apps, &mut js);
+        (js, asp)
     }
 
     #[test]
@@ -169,15 +203,9 @@ mod tests {
             .entry(AppId::new(0))
             .or_default()
             .insert(NodeId::new(0), CpuMhz::new(10_000.0));
-        let (js, asp) = effective_speeds(
-            &nodes(1, 12_000.0),
-            &p,
-            &caps(&[0], 3000.0),
-            &BTreeSet::new(),
-            false,
-        );
+        let (js, asp) = speeds(&nodes(1, 12_000.0), &p, &caps(&[0], 3000.0), &[], false);
         // No spare: 2000 + 10 000 = 12 000 exactly.
-        assert_eq!(js[&JobId::new(0)], CpuMhz::new(2000.0));
+        assert_eq!(js[0], CpuMhz::new(2000.0));
         assert_eq!(asp[&AppId::new(0)], CpuMhz::new(10_000.0));
     }
 
@@ -194,15 +222,9 @@ mod tests {
             .insert(NodeId::new(0), CpuMhz::new(2000.0));
         // Node 12 000: guarantees 4000, spare 8000. Jobs can absorb
         // 2000 each (cap 3000), leaving 4000 for the app.
-        let (js, asp) = effective_speeds(
-            &nodes(1, 12_000.0),
-            &p,
-            &caps(&[0, 1], 3000.0),
-            &BTreeSet::new(),
-            false,
-        );
-        assert_eq!(js[&JobId::new(0)], CpuMhz::new(3000.0));
-        assert_eq!(js[&JobId::new(1)], CpuMhz::new(3000.0));
+        let (js, asp) = speeds(&nodes(1, 12_000.0), &p, &caps(&[0, 1], 3000.0), &[], false);
+        assert_eq!(js[0], CpuMhz::new(3000.0));
+        assert_eq!(js[1], CpuMhz::new(3000.0));
         assert_eq!(asp[&AppId::new(0)], CpuMhz::new(6000.0));
     }
 
@@ -211,14 +233,8 @@ mod tests {
         // The "hopeless job" path: guarantee 0 but node has spare.
         let mut p = Placement::empty();
         p.jobs.insert(JobId::new(0), (NodeId::new(0), CpuMhz::ZERO));
-        let (js, _) = effective_speeds(
-            &nodes(1, 12_000.0),
-            &p,
-            &caps(&[0], 3000.0),
-            &BTreeSet::new(),
-            false,
-        );
-        assert_eq!(js[&JobId::new(0)], CpuMhz::new(3000.0));
+        let (js, _) = speeds(&nodes(1, 12_000.0), &p, &caps(&[0], 3000.0), &[], false);
+        assert_eq!(js[0], CpuMhz::new(3000.0));
     }
 
     #[test]
@@ -228,17 +244,17 @@ mod tests {
             .insert(JobId::new(0), (NodeId::new(0), CpuMhz::new(3000.0)));
         p.jobs
             .insert(JobId::new(1), (NodeId::new(0), CpuMhz::new(3000.0)));
-        let blocked: BTreeSet<JobId> = [JobId::new(0)].into();
-        let (js, _) = effective_speeds(
+        let blocked = [true];
+        let (js, _) = speeds(
             &nodes(1, 4000.0),
             &p,
             &caps(&[0, 1], 3000.0),
             &blocked,
             false,
         );
-        assert_eq!(js[&JobId::new(0)], CpuMhz::ZERO);
+        assert_eq!(js[0], CpuMhz::ZERO);
         // Job1: guarantee 3000 (already at cap).
-        assert_eq!(js[&JobId::new(1)], CpuMhz::new(3000.0));
+        assert_eq!(js[1], CpuMhz::new(3000.0));
     }
 
     #[test]
@@ -248,16 +264,13 @@ mod tests {
         for i in 0..3 {
             p.jobs.insert(JobId::new(i), (NodeId::new(0), CpuMhz::ZERO));
         }
-        let mut caps_map = BTreeMap::new();
-        caps_map.insert(JobId::new(0), CpuMhz::new(1000.0));
-        caps_map.insert(JobId::new(1), CpuMhz::new(2000.0));
-        caps_map.insert(JobId::new(2), CpuMhz::new(3000.0));
-        let (js, _) = effective_speeds(&nodes(1, 4500.0), &p, &caps_map, &BTreeSet::new(), false);
+        let caps_map = [1000.0, 2000.0, 3000.0].map(|c| Some(CpuMhz::new(c)));
+        let (js, _) = speeds(&nodes(1, 4500.0), &p, &caps_map, &[], false);
         // Equal-share rounds: 1500 each → job0 capped at 1000, its 500
         // splits 250/250 → job1 1750, job2 1750.
-        assert_eq!(js[&JobId::new(0)], CpuMhz::new(1000.0));
-        assert!(js[&JobId::new(1)].approx_eq(CpuMhz::new(1750.0), 1e-6));
-        assert!(js[&JobId::new(2)].approx_eq(CpuMhz::new(1750.0), 1e-6));
+        assert_eq!(js[0], CpuMhz::new(1000.0));
+        assert!(js[1].approx_eq(CpuMhz::new(1750.0), 1e-6));
+        assert!(js[2].approx_eq(CpuMhz::new(1750.0), 1e-6));
     }
 
     #[test]
@@ -271,13 +284,7 @@ mod tests {
             .entry(AppId::new(0))
             .or_default()
             .insert(NodeId::new(1), CpuMhz::new(6000.0));
-        let (_, asp) = effective_speeds(
-            &nodes(2, 12_000.0),
-            &p,
-            &BTreeMap::new(),
-            &BTreeSet::new(),
-            false,
-        );
+        let (_, asp) = speeds(&nodes(2, 12_000.0), &p, &[], &[], false);
         // Each node's full spare flows to the only instance there.
         assert_eq!(asp[&AppId::new(0)], CpuMhz::new(24_000.0));
     }
@@ -293,26 +300,14 @@ mod tests {
             .entry(AppId::new(1))
             .or_default()
             .insert(NodeId::new(0), CpuMhz::ZERO);
-        let (_, asp) = effective_speeds(
-            &nodes(1, 8000.0),
-            &p,
-            &BTreeMap::new(),
-            &BTreeSet::new(),
-            false,
-        );
+        let (_, asp) = speeds(&nodes(1, 8000.0), &p, &[], &[], false);
         assert_eq!(asp[&AppId::new(0)], CpuMhz::new(4000.0));
         assert_eq!(asp[&AppId::new(1)], CpuMhz::new(4000.0));
     }
 
     #[test]
     fn empty_placement_produces_empty_maps() {
-        let (js, asp) = effective_speeds(
-            &nodes(3, 12_000.0),
-            &Placement::empty(),
-            &BTreeMap::new(),
-            &BTreeSet::new(),
-            false,
-        );
+        let (js, asp) = speeds(&nodes(3, 12_000.0), &Placement::empty(), &[], &[], false);
         assert!(js.is_empty());
         assert!(asp.is_empty());
     }
@@ -328,14 +323,8 @@ mod tests {
             .entry(AppId::new(0))
             .or_default()
             .insert(NodeId::new(0), CpuMhz::new(500.0));
-        let (js, asp) = effective_speeds(
-            &nodes(1, 6000.0),
-            &p,
-            &caps(&[0, 1, 2], 3000.0),
-            &BTreeSet::new(),
-            false,
-        );
-        let total: f64 = js.values().map(|c| c.as_f64()).sum::<f64>()
+        let (js, asp) = speeds(&nodes(1, 6000.0), &p, &caps(&[0, 1, 2], 3000.0), &[], false);
+        let total: f64 = js.iter().map(|c| c.as_f64()).sum::<f64>()
             + asp.values().map(|c| c.as_f64()).sum::<f64>();
         assert!(total <= 6000.0 + 1e-6, "{total}");
         assert!(total >= 6000.0 - 1e-6, "work-conserving: {total}");
@@ -442,8 +431,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// One-pass bucketing is bit-identical to the per-node rescan:
-        /// random placements over up to 6 node ids (some absent from
+        /// One-pass bucketing over dense inputs is bit-identical to the
+        /// per-node rescan over id maps: random placements over up to 6 node ids (some absent from
         /// `nodes`, so their entities stay speed-less), blocked jobs,
         /// zero and cap-limited speeds, missing caps, idle nodes, both
         /// node orders and both `cap_apps` settings.
@@ -458,7 +447,7 @@ mod tests {
                 proptest::collection::vec((0u32..6, (0u8..4, 0.0..6000.0f64)), 0..4),
                 0..4,
             ),
-            flags in (0u8..2, 0u8..2),
+            flags in (0u8..2, 0u8..2, 0usize..16),
         ) {
             let mut nodes: Vec<NodeCapacity> = node_cpu
                 .iter()
@@ -475,15 +464,28 @@ mod tests {
             let mut p = Placement::empty();
             let mut job_caps = BTreeMap::new();
             let mut blocked = BTreeSet::new();
+            // Ids past the end of the dense inputs read as uncapped and
+            // unblocked, so the caps are cut short at a random length and
+            // the mask loses its trailing clear entries half the time.
+            let cut = flags.2.min(jobs.len());
+            let mut dense_caps = vec![None; cut];
+            let mut mask = vec![false; jobs.len()];
             for (i, &(n, g, (cap_sel, cap), blk)) in jobs.iter().enumerate() {
                 let id = JobId::new(i as u32);
                 p.jobs.insert(id, (NodeId::new(n), mhz(g)));
                 // Selector 1 leaves the cap out: the guarantee caps it.
-                if cap_sel != 1 {
+                if cap_sel != 1 && i < cut {
                     job_caps.insert(id, mhz((cap_sel, cap)));
+                    dense_caps[i] = Some(mhz((cap_sel, cap)));
                 }
                 if blk == 0 {
                     blocked.insert(id);
+                    mask[i] = true;
+                }
+            }
+            if flags.2 % 2 == 1 {
+                while mask.last() == Some(&false) {
+                    mask.pop();
                 }
             }
             for (a, slices) in apps.iter().enumerate() {
@@ -493,10 +495,15 @@ mod tests {
                 }
             }
             let cap_apps = flags.1 == 1;
-            prop_assert_eq!(
-                effective_speeds(&nodes, &p, &job_caps, &blocked, cap_apps),
-                rescan_speeds(&nodes, &p, &job_caps, &blocked, cap_apps)
-            );
+            let (want_jobs, want_apps) = rescan_speeds(&nodes, &p, &job_caps, &blocked, cap_apps);
+            let mut got_jobs = vec![CpuMhz::new(-1.0); 3];
+            let got_apps = effective_speeds(&nodes, &p, &dense_caps, &mask, cap_apps, &mut got_jobs);
+            prop_assert_eq!(got_apps, want_apps);
+            prop_assert_eq!(got_jobs.len(), jobs.len());
+            for (i, &got) in got_jobs.iter().enumerate() {
+                let want = want_jobs.get(&JobId::new(i as u32)).copied().unwrap_or(CpuMhz::ZERO);
+                prop_assert_eq!(got.as_f64().to_bits(), want.as_f64().to_bits(), "job {}", i);
+            }
         }
     }
 }

@@ -20,7 +20,7 @@ use slaq_obs::Recorder;
 use slaq_placement::problem::{AppRequest, JobRequest, NodeCapacity};
 use slaq_placement::{Placement, PlacementChange};
 use slaq_types::{ClusterSpec, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Latencies paid by jobs for placement actions (the *cost* that makes
 /// churn worth bounding).
@@ -163,6 +163,9 @@ pub struct Simulator {
     /// Partial-capacity windows (chaos degradation): CPU scaled, node
     /// alive. Empty unless installed via [`Simulator::add_capacity_dip`].
     dips: Vec<crate::chaos::CapacityDip>,
+    /// `outages` and `dips` indexed by node, rebuilt at the start of
+    /// [`Simulator::run`].
+    windows: WindowIndex,
     /// Overbooking model `(seed, spec)`: advertised capacities are the
     /// physical ones scaled by the overcommit ratios, and a seeded
     /// true-usage draw per `(cycle, node)` occasionally claws real CPU
@@ -210,6 +213,21 @@ pub struct Simulator {
     total_changes: usize,
 }
 
+/// Outage and capacity-dip windows indexed by node, plus every window
+/// boundary in ascending order with the run loop's cursor into them.
+#[derive(Debug, Default)]
+struct WindowIndex {
+    /// Outage windows `[from, to)` per node position in `nodes`.
+    outages: Vec<Vec<(SimTime, SimTime)>>,
+    /// Dip windows `(from, to, cpu_factor)` per node position, in
+    /// insertion order (the order the CPU factors are folded in).
+    dips: Vec<Vec<(SimTime, SimTime, f64)>>,
+    /// Every window start and end, ascending and deduplicated.
+    boundaries: Vec<SimTime>,
+    /// First boundary not yet passed.
+    next: usize,
+}
+
 /// Effective speeds over one inter-event interval.
 #[derive(Debug, Default, PartialEq)]
 struct Speeds {
@@ -217,6 +235,7 @@ struct Speeds {
     nodes: Vec<NodeCapacity>,
     /// Job speeds indexed by [`JobId::index`], up to the highest placed
     /// id: the per-event passes look a speed up for every running job.
+    /// Rewritten in place on every recompute.
     jobs: Vec<CpuMhz>,
     apps: BTreeMap<slaq_types::AppId, CpuMhz>,
 }
@@ -324,6 +343,7 @@ impl Simulator {
             config,
             outages: Vec::new(),
             dips: Vec::new(),
+            windows: WindowIndex::default(),
             overcommit: None,
             elasticity: None,
             resize_events: Vec::new(),
@@ -422,17 +442,55 @@ impl Simulator {
         self.elasticity = Some((seed, spec));
     }
 
+    /// Index the outage and dip windows by node and sort their
+    /// boundaries, so per-event capacity and boundary queries cost
+    /// O(nodes + their windows) and amortized O(1) instead of scanning
+    /// every window. Node ids are unique (a [`ClusterSpec`] node's id is
+    /// its index); windows on nodes the cluster lacks never apply and are
+    /// dropped.
+    fn index_windows(&mut self) {
+        let pos: BTreeMap<slaq_types::NodeId, usize> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.id, i))
+            .collect();
+        let mut w = WindowIndex {
+            outages: vec![Vec::new(); self.nodes.len()],
+            dips: vec![Vec::new(); self.nodes.len()],
+            ..WindowIndex::default()
+        };
+        for o in &self.outages {
+            if let Some(&i) = pos.get(&o.node) {
+                w.outages[i].push((o.from, o.to));
+            }
+            w.boundaries.extend([o.from, o.to]);
+        }
+        for d in &self.dips {
+            if let Some(&i) = pos.get(&d.node) {
+                w.dips[i].push((d.from, d.to, d.cpu_factor));
+            }
+            w.boundaries.extend([d.from, d.to]);
+        }
+        w.boundaries.sort_by(|a, b| a.total_cmp(*b));
+        w.boundaries.dedup();
+        self.windows = w;
+    }
+
     /// Nodes with *physical* capacities at instant `t`: a node inside
     /// an outage window contributes zero CPU and zero memory; one
     /// inside a dip window contributes scaled CPU.
     fn physical_nodes(&self, t: SimTime) -> Vec<NodeCapacity> {
+        let inside = |from: SimTime, to: SimTime| from <= t && t < to;
         self.nodes
             .iter()
-            .map(|n| {
+            .enumerate()
+            .map(|(i, n)| {
                 let down = self
+                    .windows
                     .outages
-                    .iter()
-                    .any(|o| o.node == n.id && o.from <= t && t < o.to);
+                    .get(i)
+                    .is_some_and(|ws| ws.iter().any(|&(from, to)| inside(from, to)));
                 if down {
                     return NodeCapacity {
                         id: n.id,
@@ -440,12 +498,12 @@ impl Simulator {
                         mem: slaq_types::MemMb::ZERO,
                     };
                 }
-                let dip = self
-                    .dips
-                    .iter()
-                    .filter(|d| d.node == n.id && d.from <= t && t < d.to)
-                    .map(|d| d.cpu_factor)
-                    .fold(1.0, f64::min);
+                let dip = self.windows.dips.get(i).map_or(1.0, |ws| {
+                    ws.iter()
+                        .filter(|&&(from, to, _)| inside(from, to))
+                        .map(|&(.., f)| f)
+                        .fold(1.0, f64::min)
+                });
                 if dip < 1.0 {
                     NodeCapacity {
                         id: n.id,
@@ -475,22 +533,13 @@ impl Simulator {
     }
 
     /// Earliest outage or capacity-dip boundary (start or end) after `t`.
-    fn next_outage_event(&self, t: SimTime) -> SimTime {
-        let mut earliest = SimTime::NEVER;
-        for (from, to) in self
-            .outages
-            .iter()
-            .map(|o| (o.from, o.to))
-            .chain(self.dips.iter().map(|d| (d.from, d.to)))
-        {
-            if from > t {
-                earliest = earliest.min(from);
-            }
-            if to > t {
-                earliest = earliest.min(to);
-            }
+    /// `t` never decreases within a run, so the cursor only moves on.
+    fn next_outage_event(&mut self, t: SimTime) -> SimTime {
+        let w = &mut self.windows;
+        while w.boundaries.get(w.next).is_some_and(|&b| b <= t) {
+            w.next += 1;
         }
-        earliest
+        w.boundaries.get(w.next).copied().unwrap_or(SimTime::NEVER)
     }
 
     /// Next pending elasticity resize instant (`NEVER` if none).
@@ -618,44 +667,44 @@ impl Simulator {
         &self.placement
     }
 
-    fn blocked_set(&self) -> BTreeSet<JobId> {
-        self.blocked_until
-            .iter()
-            .filter(|&(_, &t)| t > self.now)
-            .map(|(&j, _)| j)
-            .collect()
+    /// Jobs still paying a start/resume/migration latency at `now`, as
+    /// a mask indexed by [`JobId::index`].
+    fn blocked_mask(&self) -> Vec<bool> {
+        let mut mask = Vec::new();
+        for (&j, &t) in &self.blocked_until {
+            if t > self.now {
+                mask.resize(j.index() + 1, false);
+                mask[j.index()] = true;
+            }
+        }
+        mask
     }
 
-    fn job_caps(&self) -> BTreeMap<JobId, CpuMhz> {
-        self.job_mgr
-            .running()
-            .map(|j| (j.id, j.spec.max_speed))
-            .collect()
+    /// Running jobs' maximum speeds, indexed by [`JobId::index`].
+    fn job_caps(&self) -> Vec<Option<CpuMhz>> {
+        let mut caps = Vec::new();
+        for j in self.job_mgr.running() {
+            caps.resize(j.id.index() + 1, None);
+            caps[j.id.index()] = Some(j.spec.max_speed);
+        }
+        caps
     }
 
     /// Effective job and app speeds for the interval starting at `now`:
     /// work-conserving shares of the advertised capacities, clipped by
-    /// overbooking when it bites.
-    fn interval_speeds(&self) -> Speeds {
-        let nodes = self.effective_nodes(self.now);
-        let (mut jobs, mut apps) = effective_speeds(
-            &nodes,
+    /// overbooking when it bites. Rewrites `speeds` in place.
+    fn interval_speeds(&self, speeds: &mut Speeds) {
+        speeds.nodes = self.effective_nodes(self.now);
+        speeds.apps = effective_speeds(
+            &speeds.nodes,
             &self.placement,
             &self.job_caps(),
-            &self.blocked_set(),
+            &self.blocked_mask(),
             self.config.cap_transactional,
+            &mut speeds.jobs,
         );
         if self.overcommit.is_some() {
-            self.apply_overcommit(&mut jobs, &mut apps);
-        }
-        let mut dense = vec![CpuMhz::ZERO; jobs.keys().next_back().map_or(0, |j| j.index() + 1)];
-        for (j, s) in jobs {
-            dense[j.index()] = s;
-        }
-        Speeds {
-            nodes,
-            jobs: dense,
-            apps,
+            self.apply_overcommit(&mut speeds.jobs, &mut speeds.apps);
         }
     }
 
@@ -757,17 +806,15 @@ impl Simulator {
     /// exceeds this cycle's *true* capacity under the overbooking
     /// model. Empty when overbooking is off or nothing bites — the
     /// common case, so callers can skip all clipping work.
-    fn overcommit_node_clip(
-        &self,
-        job_speeds: &BTreeMap<JobId, CpuMhz>,
-    ) -> BTreeMap<slaq_types::NodeId, f64> {
+    fn overcommit_node_clip(&self, job_speeds: &[CpuMhz]) -> BTreeMap<slaq_types::NodeId, f64> {
         let mut clip = BTreeMap::new();
         let Some((seed, oc)) = &self.overcommit else {
             return clip;
         };
         let mut granted: BTreeMap<slaq_types::NodeId, f64> = BTreeMap::new();
         for (j, &(n, _)) in &self.placement.jobs {
-            *granted.entry(n).or_insert(0.0) += job_speeds.get(j).map_or(0.0, |s| s.as_f64());
+            *granted.entry(n).or_insert(0.0) +=
+                job_speeds.get(j.index()).map_or(0.0, |s| s.as_f64());
         }
         for slices in self.placement.apps.values() {
             for (&n, g) in slices {
@@ -793,7 +840,7 @@ impl Simulator {
     /// by that node's clip factor. A no-op when nothing bites.
     fn apply_overcommit(
         &self,
-        job_speeds: &mut BTreeMap<JobId, CpuMhz>,
+        job_speeds: &mut [CpuMhz],
         app_speeds: &mut BTreeMap<slaq_types::AppId, CpuMhz>,
     ) {
         let clip = self.overcommit_node_clip(job_speeds);
@@ -802,7 +849,7 @@ impl Simulator {
         }
         for (j, &(n, _)) in &self.placement.jobs {
             if let Some(&f) = clip.get(&n) {
-                if let Some(s) = job_speeds.get_mut(j) {
+                if let Some(s) = job_speeds.get_mut(j.index()) {
                     *s = *s * f;
                 }
             }
@@ -851,19 +898,21 @@ impl Simulator {
         // so they reuse the cache. Completions are still found by a scan:
         // finish instants cached across advances would drift from
         // `now + remaining / speed` by ULPs and move event instants.
+        self.index_windows();
         let mut speeds = Speeds::default();
         let mut dirty = true;
         loop {
             if dirty {
                 let _span = self.recorder.span(self.obs.speeds);
-                speeds = self.interval_speeds();
+                self.interval_speeds(&mut speeds);
                 dirty = false;
             }
-            debug_assert!(
-                speeds == self.interval_speeds(),
-                "speed cache is stale at {}",
-                self.now
-            );
+            #[cfg(debug_assertions)]
+            {
+                let mut fresh = Speeds::default();
+                self.interval_speeds(&mut fresh);
+                assert!(speeds == fresh, "speed cache is stale at {}", self.now);
+            }
 
             // Next event.
             let t_arrival = self
@@ -1064,12 +1113,14 @@ impl Simulator {
         // (same placement, same cycle key), and stays empty — changing
         // no float — whenever overbooking is off or nothing bites.
         let clip = if self.overcommit.is_some() {
-            let (job_speeds, _) = effective_speeds(
+            let mut job_speeds = Vec::new();
+            effective_speeds(
                 live_nodes,
                 &self.placement,
                 &self.job_caps(),
-                &self.blocked_set(),
+                &self.blocked_mask(),
                 self.config.cap_transactional,
+                &mut job_speeds,
             );
             self.overcommit_node_clip(&job_speeds)
         } else {
@@ -1256,29 +1307,41 @@ impl Simulator {
         // Unlike the controller's hypothetical utility this makes no
         // fluid-divisibility assumption, so it is recorded for baselines
         // too and lets experiment E3 compare worst-off-workload
-        // protection across controllers.
+        // protection across controllers. The same pass over active jobs
+        // counts the lifecycle states, so the cycle never walks history.
+        let (mut pending, mut running, mut suspended) = (0usize, 0usize, 0usize);
         {
             // Blocking (start/resume/migration latency) is a transient of
             // the sampling instant, not a statement about a job's future;
-            // project with an empty blocked set.
-            let caps = self.job_caps();
-            let (job_speeds, _) = effective_speeds(
+            // project with an all-clear blocked mask.
+            let mut job_speeds = Vec::new();
+            effective_speeds(
                 live_nodes,
                 &self.placement,
-                &caps,
-                &BTreeSet::new(),
+                &self.job_caps(),
+                &[],
                 self.config.cap_transactional,
+                &mut job_speeds,
             );
             let mut sum = 0.0;
             let mut min = f64::INFINITY;
             let mut n = 0usize;
             for job in self.job_mgr.active() {
-                let speed = job_speeds.get(&job.id).copied().unwrap_or(CpuMhz::ZERO);
+                let speed = job_speeds
+                    .get(job.id.index())
+                    .copied()
+                    .unwrap_or(CpuMhz::ZERO);
                 let u = slaq_jobs::JobUtility::of(job, t).projected_completion(speed);
                 let u = job.spec.goal.utility_at(u);
                 sum += u;
                 min = min.min(u);
                 n += 1;
+                match job.state {
+                    JobState::Pending => pending += 1,
+                    JobState::Running { .. } => running += 1,
+                    JobState::Suspended { .. } => suspended += 1,
+                    JobState::Completed { .. } => {}
+                }
             }
             if n > 0 {
                 self.metrics
@@ -1298,20 +1361,20 @@ impl Simulator {
         );
         self.metrics
             .record_key(self.keys.changes, t, n_changes as f64);
-        let stats = self.job_mgr.stats();
+        let active = pending + running + suspended;
+        self.metrics
+            .record_key(self.keys.jobs_active, t, active as f64);
+        self.metrics
+            .record_key(self.keys.jobs_running, t, running as f64);
+        self.metrics
+            .record_key(self.keys.jobs_pending, t, pending as f64);
+        self.metrics
+            .record_key(self.keys.jobs_suspended, t, suspended as f64);
         self.metrics.record_key(
-            self.keys.jobs_active,
+            self.keys.jobs_completed,
             t,
-            (stats.pending + stats.running + stats.suspended) as f64,
+            (self.job_mgr.len() - active) as f64,
         );
-        self.metrics
-            .record_key(self.keys.jobs_running, t, stats.running as f64);
-        self.metrics
-            .record_key(self.keys.jobs_pending, t, stats.pending as f64);
-        self.metrics
-            .record_key(self.keys.jobs_suspended, t, stats.suspended as f64);
-        self.metrics
-            .record_key(self.keys.jobs_completed, t, stats.completed as f64);
     }
 }
 

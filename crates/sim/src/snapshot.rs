@@ -28,7 +28,6 @@ use slaq_jobs::{JobManager, JobState};
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::{Placement, SolveDelta};
 use slaq_types::{AppId, JobId, NodeId, SimTime};
-use std::collections::BTreeMap;
 
 /// An owned, detached capture of one control cycle's observations — the
 /// snapshot stage of the snapshot → solve → actuate pipeline.
@@ -97,18 +96,75 @@ struct JobPrint {
 /// The tracker keeps **capture-by-diff fingerprints**, not clones of the
 /// sensed world: per node `(id, cpu, mem)`, per app `(id, λ)`, per active
 /// job a `(node, lifecycle, remaining)` triple — a few machine words per
-/// entity instead of a second [`JobManager`]. The resulting delta is *advisory*: the
-/// solver re-verifies every reuse precondition itself, so an imprecise
-/// tolerance costs a wasted audit, never a wrong placement.
+/// entity instead of a second [`JobManager`]. Each list is sorted by id
+/// and diffed against the previous cycle's in one merge, and the jobs are
+/// read from [`JobManager::active`], so a cycle costs O(nodes + apps +
+/// active jobs), never the whole job history. The resulting delta is
+/// *advisory*: the solver re-verifies every reuse precondition itself, so
+/// an imprecise tolerance costs a wasted audit, never a wrong placement.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaTracker {
     primed: bool,
     /// Relative drift below this fraction is ignored for app intensities
     /// and job work remainders (`0.0` = any change counts).
     tolerance: f64,
-    nodes: BTreeMap<NodeId, (f64, u64)>,
-    apps: BTreeMap<AppId, f64>,
-    jobs: BTreeMap<JobId, JobPrint>,
+    nodes: Vec<(NodeId, (f64, u64))>,
+    apps: Vec<(AppId, f64)>,
+    jobs: Vec<(JobId, JobPrint)>,
+}
+
+/// One id present in the previous cycle's list, this cycle's, or both.
+enum Merged<'a, K, V> {
+    Old(K),
+    New(K),
+    Both(K, &'a V, &'a V),
+}
+
+/// Walk two id-sorted lists in lockstep, in id order.
+fn merge<'a, K: Ord + Copy, V>(
+    old: &'a [(K, V)],
+    new: &'a [(K, V)],
+    mut visit: impl FnMut(Merged<'a, K, V>),
+) {
+    use std::cmp::Ordering;
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let order = match (old.get(i), new.get(j)) {
+            (None, None) => return,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((ko, _)), Some((kn, _))) => ko.cmp(kn),
+        };
+        match order {
+            Ordering::Less => {
+                visit(Merged::Old(old[i].0));
+                i += 1;
+            }
+            Ordering::Greater => {
+                visit(Merged::New(new[j].0));
+                j += 1;
+            }
+            Ordering::Equal => {
+                visit(Merged::Both(new[j].0, &old[i].1, &new[j].1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
+/// `(id, value)` pairs sorted by id; a repeated id keeps its last value,
+/// as repeated map inserts would.
+fn sorted_last_wins<K: Ord + Copy, V>(mut pairs: Vec<(K, V)>) -> Vec<(K, V)> {
+    pairs.sort_by_key(|&(k, _)| k);
+    let mut out: Vec<(K, V)> = Vec::with_capacity(pairs.len());
+    for (k, v) in pairs {
+        match out.last_mut() {
+            Some(last) if last.0 == k => last.1 = v,
+            _ => out.push((k, v)),
+        }
+    }
+    out
 }
 
 impl DeltaTracker {
@@ -126,100 +182,96 @@ impl DeltaTracker {
     /// then adopt the new fingerprints. The first observation (nothing to
     /// diff against) reports every job as arrived — a structural delta,
     /// so the solver takes the full path and primes its warm state.
+    ///
+    /// Within each list of the delta, ids present this cycle come first
+    /// in id order, then ids that vanished, in id order.
     pub fn observe(&mut self, inputs: &ControlInputs<'_>) -> SolveDelta {
         let mut delta = SolveDelta::default();
-        let drifted = |old: f64, new: f64, tol: f64| (new - old).abs() > tol * old.abs().max(1.0);
+        let tol = self.tolerance;
+        let drifted = |old: f64, new: f64| (new - old).abs() > tol * old.abs().max(1.0);
 
         // --- nodes: outages read as zero capacity, so "dead" means the
         // sensed CPU collapsed to zero (or the id vanished). ---
-        let mut cur_nodes = BTreeMap::new();
-        for n in inputs.nodes {
-            cur_nodes.insert(n.id, (n.cpu.as_f64(), n.mem.as_u64()));
-        }
+        let cur_nodes = sorted_last_wins(
+            inputs
+                .nodes
+                .iter()
+                .map(|n| (n.id, (n.cpu.as_f64(), n.mem.as_u64())))
+                .collect(),
+        );
         if self.primed {
-            for (&id, &(cpu, mem)) in &cur_nodes {
-                match self.nodes.get(&id) {
-                    None => delta.recovered_nodes.push(id),
-                    Some(&(old_cpu, old_mem)) => {
-                        if old_cpu == 0.0 && cpu > 0.0 {
-                            delta.recovered_nodes.push(id);
-                        } else if old_cpu > 0.0 && cpu == 0.0 {
-                            delta.dead_nodes.push(id);
-                        } else if (old_cpu, old_mem) != (cpu, mem) {
-                            delta.capacity_changed_nodes.push(id);
-                        }
+            let mut vanished = Vec::new();
+            merge(&self.nodes, &cur_nodes, |m| match m {
+                Merged::Old(id) => vanished.push(id),
+                Merged::New(id) => delta.recovered_nodes.push(id),
+                Merged::Both(id, &(old_cpu, old_mem), &(cpu, mem)) => {
+                    if old_cpu == 0.0 && cpu > 0.0 {
+                        delta.recovered_nodes.push(id);
+                    } else if old_cpu > 0.0 && cpu == 0.0 {
+                        delta.dead_nodes.push(id);
+                    } else if (old_cpu, old_mem) != (cpu, mem) {
+                        delta.capacity_changed_nodes.push(id);
                     }
                 }
-            }
-            for &id in self.nodes.keys() {
-                if !cur_nodes.contains_key(&id) {
-                    delta.dead_nodes.push(id);
-                }
-            }
+            });
+            delta.dead_nodes.append(&mut vanished);
         }
 
         // --- apps: intensity drift beyond the tolerance. ---
-        let mut cur_apps = BTreeMap::new();
-        for a in inputs.apps {
-            cur_apps.insert(a.id, a.lambda);
-        }
+        let cur_apps = sorted_last_wins(inputs.apps.iter().map(|a| (a.id, a.lambda)).collect());
         if self.primed {
-            for (&id, &lambda) in &cur_apps {
-                match self.apps.get(&id) {
-                    None => delta.drifted_apps.push(id),
-                    Some(&old) if drifted(old, lambda, self.tolerance) => {
-                        delta.drifted_apps.push(id)
+            let mut vanished = Vec::new();
+            merge(&self.apps, &cur_apps, |m| match m {
+                Merged::Old(id) => vanished.push(id),
+                Merged::New(id) => delta.drifted_apps.push(id),
+                Merged::Both(id, &old, &lambda) => {
+                    if drifted(old, lambda) {
+                        delta.drifted_apps.push(id);
                     }
-                    Some(_) => {}
                 }
-            }
-            for &id in self.apps.keys() {
-                if !cur_apps.contains_key(&id) {
-                    delta.drifted_apps.push(id);
-                }
-            }
+            });
+            delta.drifted_apps.append(&mut vanished);
         }
 
         // --- jobs: arrivals, completions, lifecycle/node moves, work
         // drift. Completed jobs leave the problem, so completion shows up
-        // as a fingerprint disappearing. ---
-        let mut cur_jobs = BTreeMap::new();
-        for job in inputs.jobs.jobs() {
-            let tag = match job.state {
-                JobState::Pending => 0u8,
-                JobState::Running { .. } => 1,
-                JobState::Suspended { .. } => 2,
-                JobState::Completed { .. } => continue,
-            };
-            cur_jobs.insert(
-                job.id,
-                JobPrint {
+        // as a fingerprint disappearing. `active()` walks the live index
+        // in id order and skips completed jobs. ---
+        let cur_jobs: Vec<(JobId, JobPrint)> = inputs
+            .jobs
+            .active()
+            .filter_map(|job| {
+                let tag = match job.state {
+                    JobState::Pending => 0u8,
+                    JobState::Running { .. } => 1,
+                    JobState::Suspended { .. } => 2,
+                    JobState::Completed { .. } => return None,
+                };
+                let print = JobPrint {
                     node: job.state.node(),
                     tag,
                     remaining: job.remaining.as_f64(),
-                },
-            );
-        }
-        for (&id, print) in &cur_jobs {
-            match self.jobs.get(&id) {
-                None => delta.arrived_jobs.push(id),
-                Some(old) => {
-                    if old.tag != print.tag
-                        || old.node != print.node
-                        || drifted(old.remaining, print.remaining, self.tolerance)
-                    {
-                        delta.resized_jobs.push(id);
-                    }
-                }
-            }
-        }
-        if self.primed {
-            for &id in self.jobs.keys() {
-                if !cur_jobs.contains_key(&id) {
+                };
+                Some((job.id, print))
+            })
+            .collect();
+        let primed = self.primed;
+        merge(&self.jobs, &cur_jobs, |m| match m {
+            Merged::Old(id) => {
+                if primed {
                     delta.completed_jobs.push(id);
                 }
             }
-        }
+            Merged::New(id) => delta.arrived_jobs.push(id),
+            Merged::Both(id, old, print) => {
+                if old.tag != print.tag
+                    || old.node != print.node
+                    || drifted(old.remaining, print.remaining)
+                {
+                    delta.resized_jobs.push(id);
+                }
+            }
+        });
 
         self.primed = true;
         self.nodes = cur_nodes;
@@ -232,9 +284,12 @@ impl DeltaTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use slaq_jobs::JobSpec;
+    use slaq_perfmodel::TransactionalSpec;
     use slaq_types::{CpuMhz, JobId, MemMb, NodeId, SimDuration, Work};
-    use slaq_utility::CompletionGoal;
+    use slaq_utility::{CompletionGoal, ResponseTimeGoal};
+    use std::collections::BTreeMap;
 
     fn job_spec(work_secs: f64) -> JobSpec {
         JobSpec {
@@ -362,5 +417,286 @@ mod tests {
         });
         assert_eq!(back.recovered_nodes, vec![NodeId::new(0)]);
         assert!(back.resized_jobs.is_empty());
+    }
+
+    /// The map-based tracker the merge-based one replaced, verbatim:
+    /// fingerprints rebuilt into `BTreeMap`s every cycle from every job
+    /// ever submitted. Kept only as the differential oracle below.
+    #[derive(Default)]
+    struct MapTracker {
+        primed: bool,
+        tolerance: f64,
+        nodes: BTreeMap<NodeId, (f64, u64)>,
+        apps: BTreeMap<AppId, f64>,
+        jobs: BTreeMap<JobId, JobPrint>,
+    }
+
+    impl MapTracker {
+        fn observe(&mut self, inputs: &ControlInputs<'_>) -> SolveDelta {
+            let mut delta = SolveDelta::default();
+            let drifted =
+                |old: f64, new: f64, tol: f64| (new - old).abs() > tol * old.abs().max(1.0);
+            let mut cur_nodes = BTreeMap::new();
+            for n in inputs.nodes {
+                cur_nodes.insert(n.id, (n.cpu.as_f64(), n.mem.as_u64()));
+            }
+            if self.primed {
+                for (&id, &(cpu, mem)) in &cur_nodes {
+                    match self.nodes.get(&id) {
+                        None => delta.recovered_nodes.push(id),
+                        Some(&(old_cpu, old_mem)) => {
+                            if old_cpu == 0.0 && cpu > 0.0 {
+                                delta.recovered_nodes.push(id);
+                            } else if old_cpu > 0.0 && cpu == 0.0 {
+                                delta.dead_nodes.push(id);
+                            } else if (old_cpu, old_mem) != (cpu, mem) {
+                                delta.capacity_changed_nodes.push(id);
+                            }
+                        }
+                    }
+                }
+                for &id in self.nodes.keys() {
+                    if !cur_nodes.contains_key(&id) {
+                        delta.dead_nodes.push(id);
+                    }
+                }
+            }
+            let mut cur_apps = BTreeMap::new();
+            for a in inputs.apps {
+                cur_apps.insert(a.id, a.lambda);
+            }
+            if self.primed {
+                for (&id, &lambda) in &cur_apps {
+                    match self.apps.get(&id) {
+                        None => delta.drifted_apps.push(id),
+                        Some(&old) if drifted(old, lambda, self.tolerance) => {
+                            delta.drifted_apps.push(id)
+                        }
+                        Some(_) => {}
+                    }
+                }
+                for &id in self.apps.keys() {
+                    if !cur_apps.contains_key(&id) {
+                        delta.drifted_apps.push(id);
+                    }
+                }
+            }
+            let mut cur_jobs = BTreeMap::new();
+            for job in inputs.jobs.jobs() {
+                let tag = match job.state {
+                    JobState::Pending => 0u8,
+                    JobState::Running { .. } => 1,
+                    JobState::Suspended { .. } => 2,
+                    JobState::Completed { .. } => continue,
+                };
+                cur_jobs.insert(
+                    job.id,
+                    JobPrint {
+                        node: job.state.node(),
+                        tag,
+                        remaining: job.remaining.as_f64(),
+                    },
+                );
+            }
+            for (&id, print) in &cur_jobs {
+                match self.jobs.get(&id) {
+                    None => delta.arrived_jobs.push(id),
+                    Some(old) => {
+                        if old.tag != print.tag
+                            || old.node != print.node
+                            || drifted(old.remaining, print.remaining, self.tolerance)
+                        {
+                            delta.resized_jobs.push(id);
+                        }
+                    }
+                }
+            }
+            if self.primed {
+                for &id in self.jobs.keys() {
+                    if !cur_jobs.contains_key(&id) {
+                        delta.completed_jobs.push(id);
+                    }
+                }
+            }
+            self.primed = true;
+            self.nodes = cur_nodes;
+            self.apps = cur_apps;
+            self.jobs = cur_jobs;
+            delta
+        }
+    }
+
+    fn app_spec() -> TransactionalSpec {
+        TransactionalSpec {
+            name: "shop".into(),
+            service_per_request: Work::new(2000.0),
+            rt_goal: ResponseTimeGoal::new(SimDuration::from_secs(0.5)).unwrap(),
+            mem_per_instance: MemMb::new(1024),
+            max_instances: 8,
+            min_instances: 1,
+            u_cap: 0.9,
+        }
+    }
+
+    /// One random world event: `(kind, a, b, factor)`.
+    type Op = (u8, u32, u32, f64);
+
+    /// Apply `op` to the world. Illegal lifecycle moves are skipped.
+    /// `hidden` marks nodes left out of the sensed list (vanished ids).
+    fn apply(
+        op: Op,
+        now: SimTime,
+        jobs: &mut JobManager,
+        nodes: &mut [NodeCapacity],
+        hidden: &mut [bool],
+        apps: &mut Vec<AppObservation>,
+    ) {
+        let (kind, a, b, f) = op;
+        let node = NodeId::new(b % nodes.len() as u32);
+        let pick =
+            |jobs: &JobManager| (!jobs.is_empty()).then(|| JobId::new(a % jobs.len() as u32));
+        match kind {
+            // Arrival.
+            0 | 1 => {
+                jobs.submit(job_spec(100.0 + f * 1000.0), now).unwrap();
+            }
+            // Start or resume.
+            2 | 3 => {
+                if let Some(id) = pick(jobs) {
+                    let job = jobs.job_mut(id).unwrap();
+                    let _ = job.start(node, now).or_else(|_| job.resume(node));
+                }
+            }
+            // Suspend.
+            4 => {
+                if let Some(id) = pick(jobs) {
+                    let _ = jobs.job_mut(id).unwrap().suspend();
+                }
+            }
+            // Migrate.
+            5 => {
+                if let Some(id) = pick(jobs) {
+                    let _ = jobs.job_mut(id).unwrap().migrate(node);
+                }
+            }
+            // Completion through `job_mut`, behind the manager's back.
+            6 => {
+                if let Some(id) = pick(jobs) {
+                    let job = jobs.job_mut(id).unwrap();
+                    job.advance(CpuMhz::new(3000.0), now, SimDuration::from_secs(1e9));
+                }
+            }
+            // Progress (and completions) through the manager.
+            7 => {
+                jobs.advance_running(now, SimDuration::from_secs(f * 200.0), |_| {
+                    CpuMhz::new(3000.0)
+                });
+            }
+            // Work drift (elasticity).
+            8 => {
+                if let Some(id) = pick(jobs) {
+                    let job = jobs.job_mut(id).unwrap();
+                    job.remaining = job.remaining * (0.5 + f);
+                }
+            }
+            // Node outage, recovery or capacity change.
+            9 => {
+                let n = &mut nodes[node.index()];
+                n.cpu = match a % 3 {
+                    0 => CpuMhz::ZERO,
+                    1 => CpuMhz::new(12_000.0),
+                    _ => CpuMhz::new(12_000.0 * f),
+                };
+            }
+            // A node id vanishes from (or returns to) the sensed list.
+            10 => hidden[node.index()] = !hidden[node.index()],
+            // App arrival, departure or intensity drift.
+            _ => match a % 3 {
+                0 => apps.push(AppObservation {
+                    id: AppId::new(b % 4),
+                    spec: app_spec(),
+                    lambda: f * 10.0,
+                    affinity: Vec::new(),
+                }),
+                1 if !apps.is_empty() => {
+                    apps.remove(b as usize % apps.len());
+                }
+                _ => {
+                    if let Some(app) = apps.first_mut() {
+                        app.lambda *= 1.0 + f * 0.1;
+                    }
+                }
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The merge over `active()` reports exactly the delta the
+        /// map-based tracker over the whole history reports, cycle after
+        /// cycle: arrivals, completions (through the manager and through
+        /// `job_mut`), suspends, resumes, migrations, work drift, node
+        /// outages, capacity changes and vanishing ids, app churn (with
+        /// repeated ids), shuffled and duplicated node entries, both
+        /// tolerances, and a fresh unprimed
+        /// tracker pair swapped in at a random cycle.
+        #[test]
+        fn prop_merge_tracker_matches_map_tracker(
+            cycles in proptest::collection::vec(
+                proptest::collection::vec((0u8..12, 0u32..64, 0u32..64, 0.0..1.0f64), 0..8),
+                1..10,
+            ),
+            tol_sel in 0u8..2,
+            restart_at in 0usize..12,
+            reverse_nodes in 0u8..2,
+        ) {
+            let tolerance = if tol_sel == 0 { 0.0 } else { 0.05 };
+            let mut jobs = JobManager::new();
+            let mut nodes: Vec<NodeCapacity> = (0..4)
+                .map(|i| NodeCapacity {
+                    id: NodeId::new(i),
+                    cpu: CpuMhz::new(12_000.0),
+                    mem: MemMb::new(4096),
+                })
+                .collect();
+            let mut hidden = vec![false; nodes.len()];
+            let mut apps = Vec::new();
+            let placement = Placement::empty();
+            let mut merged = DeltaTracker::new(tolerance);
+            let mut oracle = MapTracker { tolerance, ..MapTracker::default() };
+            for (c, ops) in cycles.iter().enumerate() {
+                let now = SimTime::from_secs(c as f64 * 600.0);
+                for &op in ops {
+                    apply(op, now, &mut jobs, &mut nodes, &mut hidden, &mut apps);
+                }
+                if c == restart_at {
+                    merged = DeltaTracker::new(tolerance);
+                    oracle = MapTracker { tolerance, ..MapTracker::default() };
+                }
+                let mut sensed: Vec<NodeCapacity> = nodes
+                    .iter()
+                    .zip(&hidden)
+                    .filter(|&(_, &h)| !h)
+                    .map(|(n, _)| *n)
+                    .collect();
+                if reverse_nodes == 1 {
+                    // Shuffled order, and a stale duplicate of the first
+                    // node listed ahead of it (the later entry wins).
+                    sensed.reverse();
+                    if let Some(&first) = sensed.last() {
+                        sensed.insert(0, NodeCapacity { cpu: CpuMhz::new(1.0), ..first });
+                    }
+                }
+                let inputs = ControlInputs {
+                    now,
+                    nodes: &sensed,
+                    current: &placement,
+                    jobs: &jobs,
+                    apps: &apps,
+                };
+                prop_assert_eq!(merged.observe(&inputs), oracle.observe(&inputs), "cycle {}", c);
+            }
+        }
     }
 }

@@ -789,6 +789,50 @@ mod tests {
         assert!(r.cpu_of(JobId::new(7)).is_none());
     }
 
+    /// The controller reads each job's target by position: apps first,
+    /// then jobs, exactly as the entities were passed in. Position `i`
+    /// must hold entity `i`, and agree with the `cpu_of` search, under
+    /// bisection (contended and saturate-everyone budgets) and weighted
+    /// equalization alike.
+    #[test]
+    fn allocations_by_position_match_cpu_of() {
+        let curves: Vec<CappedLinearUtility> = (0..9)
+            .map(|i| {
+                ent(
+                    0.1 * (i % 3) as f64,
+                    0.6 + 0.04 * i as f64,
+                    300.0 + 170.0 * i as f64,
+                )
+            })
+            .collect();
+        let es: Vec<EqEntity<'_>> = curves
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let id = if i < 3 {
+                    EntityId::App(AppId::new(i as u32 * 2))
+                } else {
+                    EntityId::Job(JobId::new(i as u32 * 3))
+                };
+                EqEntity::new(id, c)
+            })
+            .collect();
+        let weights: Vec<f64> = (0..es.len()).map(|i| 1.0 + (i % 4) as f64).collect();
+        let opts = EqualizeOptions::default();
+        for total in [0.0, 1500.0, 4000.0, 1e6] {
+            for r in [
+                equalize_bisection(&es, CpuMhz::new(total), &opts),
+                equalize_weighted(&es, &weights, CpuMhz::new(total), &opts),
+            ] {
+                assert_eq!(r.allocations.len(), es.len());
+                for (a, e) in r.allocations.iter().zip(&es) {
+                    assert_eq!(a.id, e.id);
+                    assert_eq!(r.cpu_of(e.id), Some(a.cpu));
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -4,7 +4,6 @@
 
 use slaq::prelude::*;
 use slaq_placement::solve;
-use std::collections::{BTreeMap, BTreeSet};
 
 fn app_spec(tau: f64) -> TransactionalSpec {
     TransactionalSpec {
@@ -47,20 +46,20 @@ fn perfmodel_demand_flows_through_placement_to_allocation() {
         config: PlacementConfig::default(),
     };
     let outcome = solve(&problem, &Placement::empty());
-    let satisfied = outcome.satisfied_apps[&AppId::new(0)];
+    let satisfied = outcome.placement.app_alloc(AppId::new(0));
     assert!(
         satisfied.approx_eq(demand, 2.0),
         "placement satisfied {satisfied} of {demand}"
     );
 
     // The simulator's sharing must deliver at least the guarantee.
-    let caps = BTreeMap::new();
-    let (_, app_speeds) = slaq_sim::effective_speeds(
+    let app_speeds = slaq_sim::effective_speeds(
         &problem.nodes,
         &outcome.placement,
-        &caps,
-        &BTreeSet::new(),
+        &[],
+        &[],
         false,
+        &mut Vec::new(),
     );
     let delivered = app_speeds[&AppId::new(0)];
     assert!(
