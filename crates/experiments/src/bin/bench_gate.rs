@@ -1,7 +1,8 @@
-//! Solver bench gate: measure the warm-solve hot paths plus the
+//! Solver bench gate, the workspace's one hot-path harness: measure the
+//! warm-solve hot paths, the utility equalizer, the routing tier and the
 //! end-to-end control-cycle latency (snapshot → solve → actuate, sync
 //! vs. overlapped pipeline), persist the numbers to a tracked baseline
-//! file, and fail CI on regressions.
+//! file, and fail CI on regressions. Whole runs are timed by `perfbench/`.
 //!
 //! ```text
 //! # measure and print
@@ -22,14 +23,20 @@
 //! fails. A same-run hardware-independent invariant (the delta solve
 //! beats the batch warm solve ≥ 5× under 1 % churn at 1000n/6000j)
 //! backs the absolute numbers up, and `BENCH_GATE_HARD_CAP` bounds any
-//! single series' raw regression outright.
+//! single series' raw regression outright. The run and the baseline must
+//! name the same series, so a gated series cannot be dropped unseen.
 
 use serde::{Deserialize, Serialize};
 use slaq_core::{ObserveSpec, PipelineSpec, ScenarioSpec};
 use slaq_experiments::sweeps::synthetic_problem;
+use slaq_jobs::JobUtility;
+use slaq_perfmodel::TransactionalModel;
 use slaq_placement::{
-    CandidateEngine, Placement, PlacementProblem, ShardPlan, ShardedSolver, SolveMode, Solver,
+    CandidateEngine, Placement, PlacementProblem, ShardPlan, ShardedSolver, SolveDelta, SolveMode,
+    Solver,
 };
+use slaq_sim::{AppObservation, ControlInputs, Controller, MetricsSink};
+use slaq_types::{AppId, CpuMhz, JobId};
 use std::time::Instant;
 
 /// One measured series.
@@ -128,6 +135,7 @@ fn run_benches() -> Vec<BenchEntry> {
         });
     }
     entries.extend(delta_entries());
+    entries.extend(equalizer_entries());
     entries.extend(routing_entries());
     entries.extend(obs_entries());
     entries.extend(cycle_latency_entries());
@@ -157,6 +165,157 @@ fn obs_entries() -> Vec<BenchEntry> {
     }]
 }
 
+/// Equalizer series: one `equalize_bisection` over the largest pool the
+/// controller equalizes in a `paper` run — the app's `TransactionalModel`
+/// plus every active job's utility snapshot, against the cluster's CPU,
+/// exactly as `UtilityController` builds them. Its contract is checked
+/// once before timing, so an equalizer that gets faster by doing less
+/// fails the gate, not only the baseline.
+fn equalizer_entries() -> Vec<BenchEntry> {
+    use slaq_utility::{equalize_bisection, EqEntity, EqualizeOptions, UtilityOfCpu};
+    let scenario = ScenarioSpec::preset("paper")
+        .expect("preset exists")
+        .materialize()
+        .expect("preset is valid");
+    let mut capture = PoolCapture {
+        inner: scenario.controller(),
+        pool: None,
+    };
+    let mut sim = scenario.build().expect("preset builds");
+    sim.run(&mut capture).expect("preset runs");
+    let pool = capture.pool.expect("the run has control cycles");
+    let models: Vec<(AppId, TransactionalModel)> = pool
+        .apps
+        .iter()
+        .filter_map(|a| TransactionalModel::new(a.spec.clone(), a.lambda).map(|m| (a.id, m)))
+        .collect();
+    let mut entities: Vec<EqEntity<'_>> = models
+        .iter()
+        .map(|(id, m)| EqEntity::new(*id, m as &dyn UtilityOfCpu))
+        .collect();
+    entities.extend(
+        pool.jobs
+            .iter()
+            .map(|(id, ju)| EqEntity::new(*id, ju as &dyn UtilityOfCpu)),
+    );
+    let opts = EqualizeOptions::default();
+    let result = equalize_bisection(&entities, pool.budget, &opts);
+    check_equalizer_contract(&entities, &result, pool.budget, opts.tol_utility);
+    let micros = measure(
+        || equalize_bisection(&entities, pool.budget, &opts).iterations,
+        3,
+        30,
+    );
+    vec![BenchEntry {
+        name: "equalize_paper_peak".into(),
+        micros,
+    }]
+}
+
+/// The equalizer's inputs at one control cycle.
+struct EqualizerPool {
+    apps: Vec<AppObservation>,
+    jobs: Vec<(JobId, JobUtility)>,
+    budget: CpuMhz,
+}
+
+/// Passes every cycle to `inner` and keeps a copy of the largest
+/// equalizer input among them.
+struct PoolCapture {
+    inner: Box<dyn Controller>,
+    pool: Option<EqualizerPool>,
+}
+
+impl PoolCapture {
+    fn capture(&mut self, inputs: &ControlInputs<'_>) {
+        let jobs = inputs.jobs.entities(inputs.now);
+        let size = inputs.apps.len() + jobs.len();
+        if self
+            .pool
+            .as_ref()
+            .is_none_or(|p| size > p.apps.len() + p.jobs.len())
+        {
+            self.pool = Some(EqualizerPool {
+                apps: inputs.apps.to_vec(),
+                jobs,
+                budget: inputs.nodes.iter().map(|n| n.cpu).sum(),
+            });
+        }
+    }
+}
+
+impl Controller for PoolCapture {
+    fn control(&mut self, inputs: &ControlInputs<'_>, metrics: &mut MetricsSink) -> Placement {
+        self.capture(inputs);
+        self.inner.control(inputs, metrics)
+    }
+
+    fn control_delta(
+        &mut self,
+        inputs: &ControlInputs<'_>,
+        delta: Option<&SolveDelta>,
+        metrics: &mut MetricsSink,
+    ) -> Placement {
+        self.capture(inputs);
+        self.inner.control_delta(inputs, delta, metrics)
+    }
+
+    fn set_recorder(&mut self, recorder: slaq_obs::Recorder) {
+        self.inner.set_recorder(recorder);
+    }
+}
+
+/// Panic unless `result` honours the equalizer's contract on `entities`:
+/// Σ grants ≤ budget, each grant within `[0, max_useful_cpu]`, and
+/// max–min optimal to `tol`: lifting every curve to the lowest utility
+/// among grants strictly inside `(0, max_useful_cpu)` plus `tol` would
+/// cost more than the budget.
+///
+/// This stands in for "max − min utility ≤ tol among those grants",
+/// which bisection does not meet (see the ignored
+/// `interior_utilities_lie_within_tol` test in `slaq-utility`).
+fn check_equalizer_contract(
+    entities: &[slaq_utility::EqEntity<'_>],
+    result: &slaq_utility::EqualizedAllocation,
+    budget: CpuMhz,
+    tol: f64,
+) {
+    let budget = budget.as_f64();
+    let granted: f64 = result.allocations.iter().map(|a| a.cpu.as_f64()).sum();
+    // A sum of n terms may round by n ULPs.
+    let slack = budget * entities.len() as f64 * f64::EPSILON;
+    assert!(
+        granted <= budget + slack,
+        "equalizer: granted {granted} MHz exceeds the {budget} MHz budget"
+    );
+    let mut floor = f64::INFINITY;
+    for (e, a) in entities.iter().zip(&result.allocations) {
+        let (cpu, cap) = (a.cpu.as_f64(), e.curve.max_useful_cpu().as_f64());
+        assert!(
+            (0.0..=cap).contains(&cpu),
+            "equalizer: {:?} granted {cpu} outside [0, {cap}]",
+            e.id
+        );
+        if cpu > 0.0 && cpu < cap {
+            floor = floor.min(a.utility);
+        }
+    }
+    let lifted: f64 = entities
+        .iter()
+        .map(|e| {
+            e.curve
+                .cpu_for_utility(floor + tol)
+                .unwrap_or(e.curve.max_useful_cpu())
+                .as_f64()
+        })
+        .sum();
+    assert!(
+        floor.is_infinite() || lifted > budget,
+        "equalizer: floor {floor} could rise by {tol} within the budget \
+         ({lifted} of {budget} MHz), so the result is not max-min"
+    );
+}
+
 /// Routing-tier series: one full control cycle of request routing at
 /// the 1000-node fleet scale — 50 transactional apps × 20 live
 /// instances each, 20 000 requests per app, so ~1 M requests cross the
@@ -167,7 +326,7 @@ fn obs_entries() -> Vec<BenchEntry> {
 /// pins against the warm solve.
 fn routing_entries() -> Vec<BenchEntry> {
     use slaq_routing::{RouterConfig, RoutingTier};
-    use slaq_types::{AppId, NodeId};
+    use slaq_types::NodeId;
     let apps = 50u32;
     let per_app = 20u32;
     let requests_per_app = 20_000u64;
@@ -333,21 +492,9 @@ fn cycle_latency_entries() -> Vec<BenchEntry> {
         let mut spec = ScenarioSpec::preset("paper-small").expect("preset exists");
         spec.controller.pipeline = mode;
         spec.controller.observe = observe;
-        spec.timing.cap_to_cycles(10);
-        let scenario = spec.materialize().expect("preset is valid");
-        let mut times: Vec<f64> = (0..7)
-            .map(|_| {
-                let mut controller = scenario.controller();
-                let mut sim = scenario.build().expect("preset builds");
-                let start = Instant::now();
-                let report = sim.run(controller.as_mut()).expect("preset runs");
-                start.elapsed().as_secs_f64() * 1e6 / report.cycles.max(1) as f64
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
         entries.push(BenchEntry {
             name: format!("cycle_{label}_paper_small"),
-            micros: times[times.len() / 2],
+            micros: cycle_micros(spec),
         });
     }
     // The adversarial twin: the same end-to-end cycle measurement on the
@@ -357,26 +504,29 @@ fn cycle_latency_entries() -> Vec<BenchEntry> {
     // rest, and pinned against the friendly sync cycle by the same-run
     // ≤ 3x invariant below so chaos handling can never quietly become a
     // multiple of the control cycle.
-    {
-        let mut spec = ScenarioSpec::preset("zone-storm").expect("preset exists");
-        spec.timing.cap_to_cycles(10);
-        let scenario = spec.materialize().expect("preset is valid");
-        let mut times: Vec<f64> = (0..7)
-            .map(|_| {
-                let mut controller = scenario.controller();
-                let mut sim = scenario.build().expect("preset builds");
-                let start = Instant::now();
-                let report = sim.run(controller.as_mut()).expect("preset runs");
-                start.elapsed().as_secs_f64() * 1e6 / report.cycles.max(1) as f64
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        entries.push(BenchEntry {
-            name: "cycle_chaos_zone_storm".into(),
-            micros: times[times.len() / 2],
-        });
-    }
+    entries.push(BenchEntry {
+        name: "cycle_chaos_zone_storm".into(),
+        micros: cycle_micros(ScenarioSpec::preset("zone-storm").expect("preset exists")),
+    });
     entries
+}
+
+/// Median wall time (µs) per control cycle over seven whole runs of
+/// `spec`, capped to ten cycles.
+fn cycle_micros(mut spec: ScenarioSpec) -> f64 {
+    spec.timing.cap_to_cycles(10);
+    let scenario = spec.materialize().expect("preset is valid");
+    let mut times: Vec<f64> = (0..7)
+        .map(|_| {
+            let mut controller = scenario.controller();
+            let mut sim = scenario.build().expect("preset builds");
+            let start = Instant::now();
+            let report = sim.run(controller.as_mut()).expect("preset runs");
+            start.elapsed().as_secs_f64() * 1e6 / report.cycles.max(1) as f64
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
 }
 
 fn print_table(entries: &[BenchEntry], baseline: Option<&BenchBaseline>) {
@@ -529,6 +679,58 @@ fn relative_invariants_hold(entries: &[BenchEntry]) -> bool {
     ok
 }
 
+/// Per-series verdicts of `--check`, one message per failing series: a
+/// run series missing from the baseline, a baseline series the run no
+/// longer produces (so deleting a gated series cannot pass unseen), a
+/// series over the raw hard cap, or one over the tolerance both raw and
+/// after dividing out the run's `geomean` ratio to the baseline.
+fn series_failures(
+    entries: &[BenchEntry],
+    baseline: &BenchBaseline,
+    tolerance: f64,
+    hard_cap: f64,
+    geomean: f64,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    for e in entries {
+        match baseline.entries.iter().find(|b| b.name == e.name) {
+            None => failures.push(format!("{}: not in baseline (run --update)", e.name)),
+            Some(b) if b.micros > 0.0 && e.micros > b.micros * hard_cap => {
+                failures.push(format!(
+                    "{}: {:.1} µs vs baseline {:.1} µs exceeds the {hard_cap}x \
+                     hard cap (BENCH_GATE_HARD_CAP)",
+                    e.name, e.micros, b.micros
+                ));
+            }
+            Some(b)
+                if e.micros > b.micros * (1.0 + tolerance)
+                    && e.micros / b.micros > geomean * (1.0 + tolerance) =>
+            {
+                failures.push(format!(
+                    "{}: {:.1} µs vs baseline {:.1} µs (> +{:.0}% raw and \
+                     machine-normalized; run geomean ratio {:.2})",
+                    e.name,
+                    e.micros,
+                    b.micros,
+                    tolerance * 100.0,
+                    geomean
+                ));
+            }
+            Some(_) => {}
+        }
+    }
+    for b in &baseline.entries {
+        if !entries.iter().any(|e| e.name == b.name) {
+            failures.push(format!(
+                "{}: in the baseline but not measured by this run (a dropped series; \
+                 re-record with --update if the removal is deliberate)",
+                b.name
+            ));
+        }
+    }
+    failures
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let entries = run_benches();
@@ -607,37 +809,9 @@ fn main() {
                 );
                 failed |= strict;
             }
-            for e in &entries {
-                match baseline.entries.iter().find(|b| b.name == e.name) {
-                    None => {
-                        eprintln!("FAIL {}: not in baseline (run --update)", e.name);
-                        failed = true;
-                    }
-                    Some(b) if b.micros > 0.0 && e.micros > b.micros * hard_cap => {
-                        eprintln!(
-                            "FAIL {}: {:.1} µs vs baseline {:.1} µs exceeds the {hard_cap}x \
-                             hard cap (BENCH_GATE_HARD_CAP)",
-                            e.name, e.micros, b.micros
-                        );
-                        failed = true;
-                    }
-                    Some(b)
-                        if e.micros > b.micros * (1.0 + tolerance)
-                            && e.micros / b.micros > geomean * (1.0 + tolerance) =>
-                    {
-                        eprintln!(
-                            "FAIL {}: {:.1} µs vs baseline {:.1} µs (> +{:.0}% raw and \
-                             machine-normalized; run geomean ratio {:.2})",
-                            e.name,
-                            e.micros,
-                            b.micros,
-                            tolerance * 100.0,
-                            geomean
-                        );
-                        failed = true;
-                    }
-                    Some(_) => {}
-                }
+            for failure in series_failures(&entries, &baseline, tolerance, hard_cap, geomean) {
+                eprintln!("FAIL {failure}");
+                failed = true;
             }
             if !relative_invariants_hold(&entries) {
                 failed = true;
@@ -652,5 +826,61 @@ fn main() {
             eprintln!("usage: bench_gate [--update <baseline.json> | --check <baseline.json>]");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `series_failures` at the default tolerance and hard cap.
+    fn failures(run: &[(&str, f64)], base: &[(&str, f64)], geomean: f64) -> Vec<String> {
+        let entries = |series: &[(&str, f64)]| -> Vec<BenchEntry> {
+            series
+                .iter()
+                .map(|&(name, micros)| BenchEntry {
+                    name: name.into(),
+                    micros,
+                })
+                .collect()
+        };
+        let baseline = BenchBaseline {
+            entries: entries(base),
+        };
+        series_failures(&entries(run), &baseline, 0.25, 3.0, geomean)
+    }
+
+    #[test]
+    fn matching_series_within_tolerance_pass() {
+        let base = [("a", 100.0), ("b", 50.0)];
+        assert!(failures(&[("a", 110.0), ("b", 40.0)], &base, 1.0).is_empty());
+    }
+
+    #[test]
+    fn a_baseline_series_the_run_dropped_fails() {
+        let f = failures(&[("a", 100.0)], &[("a", 100.0), ("gone", 50.0)], 1.0);
+        assert!(f.len() == 1 && f[0].starts_with("gone:"), "{f:?}");
+    }
+
+    #[test]
+    fn a_run_series_missing_from_the_baseline_fails() {
+        let f = failures(&[("a", 100.0), ("new", 1.0)], &[("a", 100.0)], 1.0);
+        assert!(f.len() == 1 && f[0].starts_with("new:"), "{f:?}");
+    }
+
+    #[test]
+    fn regressions_fail_on_tolerance_and_hard_cap() {
+        let base = [("slow", 100.0), ("capped", 100.0)];
+        let run = [("slow", 130.0), ("capped", 301.0)];
+        let f = failures(&run, &base, 1.0);
+        assert!(f.len() == 2 && f[0].starts_with("slow:"), "{f:?}");
+        assert!(
+            f[1].starts_with("capped:") && f[1].contains("hard cap"),
+            "{f:?}"
+        );
+        // A uniformly slower run absolves the tolerance breach, never the
+        // hard cap.
+        let f = failures(&run, &base, 1.3);
+        assert!(f.len() == 1 && f[0].starts_with("capped:"), "{f:?}");
     }
 }

@@ -7,14 +7,14 @@
 //!
 //! * [`equalize_bisection`] — exact: bisection on the common utility level
 //!   `u*`, exploiting that aggregate demand `Σᵢ cpuᵢ(u)` is monotone in `u`.
-//! * [`equalize_steal`] — the paper's own description: *"the algorithm
-//!   operates by continuously stealing resources \[from\] the more satisfied
-//!   applications to later be given to the less satisfied applications"*.
-//!   Implemented as repeated pairwise donor→receiver transfers, each sized
-//!   by bisection so the pair's utilities meet.
+//! * [`equalize_weighted`] — the same bisection on an importance-scaled
+//!   shortfall level, for service differentiation.
 //!
-//! Both return the same allocation up to tolerance (asserted by tests and
-//! benchmarked against each other in `bench_equalization`).
+//! The paper's own description — *"the algorithm operates by continuously
+//! stealing resources \[from\] the more satisfied applications to later be
+//! given to the less satisfied applications"* — survives as a test-only
+//! oracle (repeated pairwise donor→receiver transfers); the tests assert
+//! that it and [`equalize_bisection`] agree up to tolerance.
 
 use crate::entity::UtilityOfCpu;
 use serde::{Deserialize, Serialize};
@@ -63,7 +63,7 @@ pub struct EqualizedAllocation {
     /// Budget left after every entity saturated (zero while any entity can
     /// still improve).
     pub surplus: CpuMhz,
-    /// Iterations used by the solver (bisection steps or steal rounds).
+    /// Iterations used by the solver (bisection steps).
     pub iterations: usize,
 }
 
@@ -89,9 +89,9 @@ impl EqualizedAllocation {
 pub struct EqualizeOptions {
     /// Utility-level resolution for bisection termination.
     pub tol_utility: f64,
-    /// CPU resolution used when sizing pairwise transfers.
+    /// CPU resolution: residual budget or headroom below it counts as zero.
     pub tol_cpu: f64,
-    /// Upper bound on solver iterations (bisection steps / steal rounds).
+    /// Upper bound on solver iterations (bisection steps).
     pub max_iters: usize,
 }
 
@@ -425,133 +425,6 @@ pub fn equalize_weighted(
     }
 }
 
-/// The paper's iterative scheme: repeatedly steal CPU from the most
-/// satisfied entity and hand it to the least satisfied one, sizing each
-/// transfer so the pair's utilities meet.
-///
-/// Slower than [`equalize_bisection`] but follows the published prose; kept
-/// both as an ablation (bench `bench_equalization`) and as a cross-check
-/// oracle in tests.
-pub fn equalize_steal(
-    entities: &[EqEntity<'_>],
-    total: CpuMhz,
-    opts: &EqualizeOptions,
-) -> EqualizedAllocation {
-    let total = total.max_zero();
-    let n = entities.len();
-    if n == 0 {
-        return EqualizedAllocation {
-            allocations: Vec::new(),
-            common_utility: 0.0,
-            total_allocated: CpuMhz::ZERO,
-            surplus: total,
-            iterations: 0,
-        };
-    }
-
-    let caps: Vec<CpuMhz> = entities.iter().map(|e| e.curve.max_useful_cpu()).collect();
-    let cap_sum: CpuMhz = caps.iter().sum();
-    let budget = total.min(cap_sum);
-
-    // Start proportional-to-cap: every entity gets a share of the budget
-    // scaled by its demand cap (all-zero caps ⇒ all-zero start).
-    let mut alloc: Vec<CpuMhz> = if cap_sum.is_zero() {
-        vec![CpuMhz::ZERO; n]
-    } else {
-        caps.iter()
-            .map(|c| *c * (budget.as_f64() / cap_sum.as_f64()))
-            .collect()
-    };
-
-    let utility = |i: usize, a: &[CpuMhz]| entities[i].curve.utility(a[i]);
-
-    let mut rounds = 0;
-    while rounds < opts.max_iters {
-        rounds += 1;
-
-        // Most satisfied donor that actually holds CPU, least satisfied
-        // receiver that can still absorb CPU.
-        let mut donor: Option<usize> = None;
-        let mut receiver: Option<usize> = None;
-        for i in 0..n {
-            let u = utility(i, &alloc);
-            if alloc[i].as_f64() > opts.tol_cpu && donor.is_none_or(|d| u > utility(d, &alloc)) {
-                donor = Some(i);
-            }
-            if caps[i].as_f64() - alloc[i].as_f64() > opts.tol_cpu
-                && receiver.is_none_or(|r| u < utility(r, &alloc))
-            {
-                receiver = Some(i);
-            }
-        }
-        let (Some(d), Some(r)) = (donor, receiver) else {
-            break;
-        };
-        if d == r {
-            break;
-        }
-        let (ud, ur) = (utility(d, &alloc), utility(r, &alloc));
-        if ud - ur <= opts.tol_utility.max(1e-7) {
-            break; // equalized
-        }
-
-        // Size the transfer by bisection so u_d(a_d−m) ≈ u_r(a_r+m).
-        let m_max = alloc[d].min(caps[r].saturating_sub(alloc[r]));
-        let mut m_lo = 0.0f64;
-        let mut m_hi = m_max.as_f64();
-        for _ in 0..50 {
-            let m = 0.5 * (m_lo + m_hi);
-            let u_d = entities[d].curve.utility(alloc[d] - CpuMhz::new(m));
-            let u_r = entities[r].curve.utility(alloc[r] + CpuMhz::new(m));
-            if u_d > u_r {
-                m_lo = m;
-            } else {
-                m_hi = m;
-            }
-            if m_hi - m_lo < opts.tol_cpu {
-                break;
-            }
-        }
-        let m = CpuMhz::new(0.5 * (m_lo + m_hi));
-        if m.as_f64() <= opts.tol_cpu {
-            break; // transfer too small to matter: numerically equalized
-        }
-        alloc[d] -= m;
-        alloc[r] += m;
-    }
-
-    let allocations: Vec<EntityAllocation> = entities
-        .iter()
-        .enumerate()
-        .map(|(i, e)| EntityAllocation {
-            id: e.id,
-            cpu: alloc[i].max_zero(),
-            utility: e.curve.utility(alloc[i]),
-        })
-        .collect();
-    let granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
-    let all_saturated = allocations
-        .iter()
-        .zip(&caps)
-        .all(|(a, c)| a.cpu.as_f64() >= c.as_f64() - opts.tol_cpu);
-    let common = allocations
-        .iter()
-        .map(|a| a.utility)
-        .fold(f64::INFINITY, f64::min);
-
-    EqualizedAllocation {
-        common_utility: common,
-        total_allocated: granted,
-        surplus: if all_saturated {
-            total.saturating_sub(granted)
-        } else {
-            CpuMhz::ZERO
-        },
-        allocations,
-        iterations: rounds,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,6 +440,135 @@ mod tests {
         (0..n)
             .map(|i| EntityId::Job(JobId::new(i as u32)))
             .collect()
+    }
+
+    /// The paper's iterative scheme: repeatedly steal CPU from the most
+    /// satisfied entity and hand it to the least satisfied one, sizing each
+    /// transfer so the pair's utilities meet.
+    ///
+    /// Follows the published prose literally: every round is an O(n) scan
+    /// that moves CPU between one pair, so it is far slower than
+    /// [`equalize_bisection`]. Kept only as the oracle the agreement tests
+    /// check bisection against.
+    fn equalize_steal(
+        entities: &[EqEntity<'_>],
+        total: CpuMhz,
+        opts: &EqualizeOptions,
+    ) -> EqualizedAllocation {
+        let total = total.max_zero();
+        let n = entities.len();
+        if n == 0 {
+            return EqualizedAllocation {
+                allocations: Vec::new(),
+                common_utility: 0.0,
+                total_allocated: CpuMhz::ZERO,
+                surplus: total,
+                iterations: 0,
+            };
+        }
+
+        let caps: Vec<CpuMhz> = entities.iter().map(|e| e.curve.max_useful_cpu()).collect();
+        let cap_sum: CpuMhz = caps.iter().sum();
+        let budget = total.min(cap_sum);
+
+        // Start proportional-to-cap: every entity gets a share of the budget
+        // scaled by its demand cap (all-zero caps ⇒ all-zero start).
+        let mut alloc: Vec<CpuMhz> = if cap_sum.is_zero() {
+            vec![CpuMhz::ZERO; n]
+        } else {
+            caps.iter()
+                .map(|c| *c * (budget.as_f64() / cap_sum.as_f64()))
+                .collect()
+        };
+
+        let utility = |i: usize, a: &[CpuMhz]| entities[i].curve.utility(a[i]);
+
+        let mut rounds = 0;
+        while rounds < opts.max_iters {
+            rounds += 1;
+
+            // Most satisfied donor that actually holds CPU, least satisfied
+            // receiver that can still absorb CPU.
+            let mut donor: Option<usize> = None;
+            let mut receiver: Option<usize> = None;
+            for i in 0..n {
+                let u = utility(i, &alloc);
+                if alloc[i].as_f64() > opts.tol_cpu && donor.is_none_or(|d| u > utility(d, &alloc))
+                {
+                    donor = Some(i);
+                }
+                if caps[i].as_f64() - alloc[i].as_f64() > opts.tol_cpu
+                    && receiver.is_none_or(|r| u < utility(r, &alloc))
+                {
+                    receiver = Some(i);
+                }
+            }
+            let (Some(d), Some(r)) = (donor, receiver) else {
+                break;
+            };
+            if d == r {
+                break;
+            }
+            let (ud, ur) = (utility(d, &alloc), utility(r, &alloc));
+            if ud - ur <= opts.tol_utility.max(1e-7) {
+                break; // equalized
+            }
+
+            // Size the transfer by bisection so u_d(a_d−m) ≈ u_r(a_r+m).
+            let m_max = alloc[d].min(caps[r].saturating_sub(alloc[r]));
+            let mut m_lo = 0.0f64;
+            let mut m_hi = m_max.as_f64();
+            for _ in 0..50 {
+                let m = 0.5 * (m_lo + m_hi);
+                let u_d = entities[d].curve.utility(alloc[d] - CpuMhz::new(m));
+                let u_r = entities[r].curve.utility(alloc[r] + CpuMhz::new(m));
+                if u_d > u_r {
+                    m_lo = m;
+                } else {
+                    m_hi = m;
+                }
+                if m_hi - m_lo < opts.tol_cpu {
+                    break;
+                }
+            }
+            let m = CpuMhz::new(0.5 * (m_lo + m_hi));
+            if m.as_f64() <= opts.tol_cpu {
+                break; // transfer too small to matter: numerically equalized
+            }
+            alloc[d] -= m;
+            alloc[r] += m;
+        }
+
+        let allocations: Vec<EntityAllocation> = entities
+            .iter()
+            .enumerate()
+            .map(|(i, e)| EntityAllocation {
+                id: e.id,
+                cpu: alloc[i].max_zero(),
+                utility: e.curve.utility(alloc[i]),
+            })
+            .collect();
+        let granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
+        let all_saturated = allocations
+            .iter()
+            .zip(&caps)
+            .all(|(a, c)| a.cpu.as_f64() >= c.as_f64() - opts.tol_cpu);
+        let common = allocations
+            .iter()
+            .map(|a| a.utility)
+            .fold(f64::INFINITY, f64::min);
+
+        EqualizedAllocation {
+            common_utility: common,
+            total_allocated: granted,
+            surplus: if all_saturated {
+                total.saturating_sub(granted)
+            } else {
+                CpuMhz::ZERO
+            },
+            allocations,
+            iterations: rounds,
+        }
     }
 
     #[test]
@@ -692,6 +694,46 @@ mod tests {
                 s.cpu
             );
         }
+    }
+
+    /// The honesty rule's literal form: entities granted strictly between
+    /// zero and their cap share one utility level to within `tol_utility`.
+    #[test]
+    #[ignore = "fails: the residual pass hands the leftover budget to one \
+                entity, 56 × tol above the rest at 1000 entities (CHANGES.md FOUND)"]
+    fn interior_utilities_lie_within_tol() {
+        let curves: Vec<CappedLinearUtility> = (0..1000)
+            .map(|i| {
+                let cap = 500.0 + 2500.0 * ((i * 7919) % 100) as f64 / 100.0;
+                ent((i % 5) as f64 * 0.05, 0.9 + (i % 3) as f64 * 0.05, cap)
+            })
+            .collect();
+        let id = ids(curves.len());
+        let es: Vec<EqEntity> = curves
+            .iter()
+            .enumerate()
+            .map(|(i, c)| EqEntity::new(id[i], c))
+            .collect();
+        let budget = curves.iter().map(|c| c.cap.as_f64()).sum::<f64>() * 0.6;
+        let opts = EqualizeOptions::default();
+        let r = equalize_bisection(&es, CpuMhz::new(budget), &opts);
+        let interior = r
+            .allocations
+            .iter()
+            .zip(&curves)
+            .filter(|(a, c)| a.cpu.as_f64() > 0.0 && a.cpu < c.cap)
+            .map(|(a, _)| a.utility);
+        let (lo, hi) = interior.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), u| {
+            (lo.min(u), hi.max(u))
+        });
+        // A few ULPs of the level on top of the tolerance.
+        let slack = 4.0 * f64::EPSILON * hi.abs();
+        assert!(
+            hi - lo <= opts.tol_utility + slack,
+            "interior utilities span {lo}..{hi}, a gap of {} > tol {}",
+            hi - lo,
+            opts.tol_utility
+        );
     }
 
     #[test]

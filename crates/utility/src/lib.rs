@@ -23,8 +23,9 @@
 //!   the equalizer as one such entity.
 //! * The equalization solvers (`equalize` module):
 //!   [`equalize_bisection`] (exact max–min via bisection on the common
-//!   utility level) and [`equalize_steal`] (the paper's iterative
-//!   steal-from-the-most-satisfied loop). Tests assert they agree.
+//!   utility level) and [`equalize_weighted`] (importance-scaled
+//!   shortfalls). The paper's iterative steal-from-the-most-satisfied loop
+//!   is kept as a test-only oracle; tests assert it agrees with bisection.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -37,8 +38,8 @@ pub mod goal;
 pub use curve::PiecewiseLinear;
 pub use entity::{CappedLinearUtility, TabulatedUtility, UtilityOfCpu};
 pub use equalize::{
-    equalize_bisection, equalize_steal, equalize_weighted, EntityAllocation, EqEntity,
-    EqualizeOptions, EqualizedAllocation,
+    equalize_bisection, equalize_weighted, EntityAllocation, EqEntity, EqualizeOptions,
+    EqualizedAllocation,
 };
 pub use goal::{CompletionGoal, ResponseTimeGoal};
 

@@ -67,8 +67,8 @@ pub mod prelude {
         AppId, ClusterSpec, CpuMhz, EntityId, JobId, MemMb, NodeId, SimDuration, SimTime, Work,
     };
     pub use slaq_utility::{
-        equalize_bisection, equalize_steal, CompletionGoal, EqEntity, EqualizeOptions,
-        PiecewiseLinear, ResponseTimeGoal, UtilityOfCpu,
+        equalize_bisection, CompletionGoal, EqEntity, EqualizeOptions, PiecewiseLinear,
+        ResponseTimeGoal, UtilityOfCpu,
     };
     pub use slaq_workloads::{
         generate_job_stream, ArrivalProcess, IntensityTrace, JobMix, JobTemplate, RateSchedule,
